@@ -104,6 +104,9 @@ impl Dispatcher {
     /// Stop the pool: all blocked and future [`Dispatcher::next`] calls
     /// return `None`.
     pub fn shutdown(&self) {
+        // set the flag under the queue lock: a worker between its flag
+        // check and `wait` holds that lock, so it cannot miss the notify
+        let _queue = lock_unpoisoned(&self.queue);
         self.shutdown.store(true, Ordering::SeqCst);
         self.ready.notify_all();
     }
@@ -273,6 +276,29 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         d.push(Attempt::first(job("gcd", 3, Backend::Formal)));
         assert_eq!(waiter.join().unwrap().unwrap().job.shard, 3);
+    }
+
+    #[test]
+    fn shutdown_wakes_a_worker_racing_into_wait() {
+        // the worker's flag check and its `wait` race the shutdown; a
+        // lost wakeup leaves it blocked forever (and the campaign's
+        // thread scope with it)
+        for i in 0..2000 {
+            let d = std::sync::Arc::new(Dispatcher::new([]));
+            let d2 = std::sync::Arc::clone(&d);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(d2.next().is_none()));
+            // sweep the shutdown across the worker's start-up
+            for _ in 0..(i * 37) % 20_000 {
+                std::hint::spin_loop();
+            }
+            d.shutdown();
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(10)),
+                Ok(true),
+                "worker missed the shutdown"
+            );
+        }
     }
 
     #[test]

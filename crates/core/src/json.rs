@@ -153,6 +153,7 @@ impl fmt::Display for Json {
 /// non-integer numbers, or trailing garbage.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -165,6 +166,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -280,12 +282,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the whole run up to the next `"` or `\`; both are
+                    // ASCII, so the slice ends on a char boundary of the
+                    // (already valid UTF-8) input
+                    let start = self.pos;
+                    self.pos = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |run| start + run);
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -390,6 +395,60 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes_round_trips() {
+        // 2-, 3- and 4-byte characters on both sides of every escape kind
+        for s in [
+            "é\"€\\𝄞",
+            "\"é\\€\u{1}𝄞\"",
+            "\\𝄞\"",
+            "€\n\u{1f}é\t",
+            "top.ünït.\"q\".𝄞\\€",
+            "",
+        ] {
+            let v = Json::Str(s.to_string());
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "{s:?}");
+            let obj = Json::Object(BTreeMap::from([(s.to_string(), v.clone())]));
+            assert_eq!(parse(&obj.to_string()).unwrap(), obj, "{s:?}");
+        }
+        assert_eq!(
+            parse(r#""é\u00e9€\"𝄞\\""#).unwrap().as_str(),
+            Some("éé€\"𝄞\\")
+        );
+    }
+
+    #[test]
+    fn malformed_strings_still_fail() {
+        for bad in [
+            "\"abc€",
+            "\"𝄞",
+            "\"é\\",
+            "\"\\x\"",
+            "\"€\\u12\"",
+            "\"\\u12",
+            "\"\\uzzzz\"",
+            "\"\\ud800\"",
+            "\"\\u00é\"",
+            "{\"é\":\"𝄞}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        // 1 MiB of mixed-width text: rescanning the rest of the document
+        // for every character takes minutes, a linear scan milliseconds
+        let unit = "ab€𝄞é\"\\";
+        let text: String = unit.repeat((1 << 20) / unit.len());
+        let doc = Json::Str(text.clone()).to_string();
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

@@ -414,7 +414,7 @@ mod merge_properties {
             copies in 1usize..6,
         ) {
             let one = build(entries);
-            let refs: Vec<&CoverageMap> = std::iter::repeat(&one).take(copies).collect();
+            let refs: Vec<&CoverageMap> = std::iter::repeat_n(&one, copies).collect();
             let merged = CoverageMap::merge_many(&refs);
             for (name, count) in one.iter() {
                 prop_assert_eq!(merged.count(name), Some(count * copies as u64));

@@ -450,10 +450,12 @@ circuit T :
         let m = c.top_module();
         let mut found_en = false;
         m.for_each_stmt(&mut |s| {
-            if let Stmt::Cover { enable, .. } = s {
-                if let Expr::Ref(n) = enable {
-                    found_en |= n == "_tgl_en";
-                }
+            if let Stmt::Cover {
+                enable: Expr::Ref(n),
+                ..
+            } = s
+            {
+                found_en |= n == "_tgl_en";
             }
         });
         assert!(found_en);

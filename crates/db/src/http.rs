@@ -5,6 +5,9 @@
 //! rule. One request per connection (`Connection: close`), served
 //! sequentially; the server refreshes the database before each request,
 //! so a campaign committing into the same directory is visible live.
+//! Each connection gets [`CONNECTION_TIMEOUT`] per read and write, so an
+//! idle or stalled client delays the requests queued behind it by at
+//! most that long instead of blocking the server.
 //!
 //! Endpoints (query parameters are the [`Selector`] fields —
 //! `design`, `workload`, `backend`, `label`, `since`):
@@ -25,9 +28,14 @@ use rtlcov_core::json::Json;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 /// Largest request head (request line + headers) we accept.
 const MAX_HEAD: usize = 16 * 1024;
+
+/// Per-connection read and write timeout; a client that sends nothing
+/// (or stops reading) for this long is dropped.
+pub const CONNECTION_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Decode `%XX` escapes and `+`-as-space in a query component.
 fn percent_decode(s: &str) -> String {
@@ -288,6 +296,8 @@ fn reason(status: u16) -> &'static str {
 
 /// Read the request head (through the blank line) and answer it.
 fn handle(stream: &mut TcpStream, db: &mut CoverageDb) -> io::Result<()> {
+    stream.set_read_timeout(Some(CONNECTION_TIMEOUT))?;
+    stream.set_write_timeout(Some(CONNECTION_TIMEOUT))?;
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
@@ -492,6 +502,39 @@ mod tests {
             assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
             assert!(response.contains(expect), "{response}");
         }
+        thread.join().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn idle_connection_does_not_block_health() {
+        let (db, dir) = seeded("idle");
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let thread = std::thread::spawn(move || {
+            let mut db = db;
+            server.serve(&mut db, Some(2)).unwrap();
+        });
+        // accepted first, never sends a byte
+        let idle = TcpStream::connect(addr).unwrap();
+        let start = std::time::Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        // a server without the timeout fails here instead of hanging
+        stream
+            .set_read_timeout(Some(CONNECTION_TIMEOUT * 3))
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        let took = start.elapsed();
+        assert!(response.contains("\"status\":\"ok\""), "{response}");
+        assert!(
+            took < CONNECTION_TIMEOUT + Duration::from_secs(1),
+            "/health took {took:?} behind an idle connection"
+        );
+        drop(idle);
         thread.join().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }

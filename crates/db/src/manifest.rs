@@ -12,7 +12,7 @@
 
 use crate::DbError;
 use rtlcov_core::json::{self, Json};
-use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::fs;
 use std::path::Path;
 
@@ -73,15 +73,6 @@ pub struct Manifest {
     pub segments: Vec<RunInfo>,
 }
 
-fn obj(entries: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
 fn get_u64(value: &Json, key: &str) -> Result<u64, DbError> {
     value
         .get(key)
@@ -98,33 +89,38 @@ fn get_str(value: &Json, key: &str) -> Result<String, DbError> {
 }
 
 impl Manifest {
-    /// Serialize to the JSON commit record.
+    /// Serialize to the JSON commit record: compact, keys in sorted
+    /// order — byte for byte what `Json::Object`'s `Display` would print
+    /// for the same record, written without building that tree.
     pub fn to_json(&self) -> String {
-        let segments: Vec<Json> = self
-            .segments
-            .iter()
-            .map(|s| {
-                obj(vec![
-                    ("id", Json::UInt(s.id)),
-                    ("design", Json::Str(s.key.design.clone())),
-                    ("workload", Json::Str(s.key.workload.clone())),
-                    ("backend", Json::Str(s.key.backend.clone())),
-                    ("label", Json::Str(s.key.label.clone())),
-                    ("file", Json::Str(s.file.clone())),
-                    ("checksum", Json::UInt(s.checksum)),
-                    ("content", Json::UInt(s.content)),
-                    ("points", Json::UInt(s.points)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("version", Json::UInt(MANIFEST_VERSION)),
-            ("next_time", Json::UInt(self.next_time)),
-            ("names_len", Json::UInt(self.names_len)),
-            ("names_hash", Json::UInt(self.names_hash)),
-            ("segments", Json::Array(segments)),
-        ])
-        .to_string()
+        let mut out = String::with_capacity(96 + 160 * self.segments.len());
+        let _ = write!(
+            out,
+            "{{\"names_hash\":{},\"names_len\":{},\"next_time\":{},\"segments\":[",
+            self.names_hash, self.names_len, self.next_time
+        );
+        for (i, s) in self.segments.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"backend\":");
+            json::write_escaped(&mut out, &s.key.backend);
+            let _ = write!(
+                out,
+                ",\"checksum\":{},\"content\":{},\"design\":",
+                s.checksum, s.content
+            );
+            json::write_escaped(&mut out, &s.key.design);
+            out.push_str(",\"file\":");
+            json::write_escaped(&mut out, &s.file);
+            let _ = write!(out, ",\"id\":{},\"label\":", s.id);
+            json::write_escaped(&mut out, &s.key.label);
+            let _ = write!(out, ",\"points\":{},\"workload\":", s.points);
+            json::write_escaped(&mut out, &s.key.workload);
+            out.push('}');
+        }
+        let _ = write!(out, "],\"version\":{MANIFEST_VERSION}}}");
+        out
     }
 
     /// Parse a manifest written by [`Manifest::to_json`].
@@ -169,40 +165,50 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// Load the manifest from `dir`, or an empty one when the database
+    /// The committed manifest text in `dir`, or `None` when the database
     /// has never committed (no `MANIFEST.json`).
     ///
     /// # Errors
     ///
-    /// [`DbError`] on unreadable or corrupt manifests.
-    pub fn load(dir: &Path) -> Result<Self, DbError> {
-        let path = dir.join("MANIFEST.json");
-        match fs::read_to_string(&path) {
-            Ok(text) => Self::from_json(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Manifest::default()),
+    /// [`DbError::Io`] when the file exists but cannot be read as text.
+    pub fn read_text(dir: &Path) -> Result<Option<String>, DbError> {
+        match fs::read_to_string(dir.join("MANIFEST.json")) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(DbError::Io(format!("read manifest: {e}"))),
         }
     }
 
+    /// Parse what [`Manifest::read_text`] returned; `None` is the empty
+    /// manifest of a database that has never committed.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corrupt`] as for [`Manifest::from_json`].
+    pub fn from_text(text: Option<&str>) -> Result<Self, DbError> {
+        text.map_or_else(|| Ok(Manifest::default()), Self::from_json)
+    }
+
     /// Atomically replace the on-disk manifest (write temp, rename).
-    /// This call *is* the commit.
+    /// This call *is* the commit. Returns the committed text.
     ///
     /// # Errors
     ///
     /// Filesystem failures.
-    pub fn commit(&self, dir: &Path) -> Result<(), DbError> {
+    pub fn commit(&self, dir: &Path) -> Result<String, DbError> {
         let path = dir.join("MANIFEST.json");
         let tmp = dir.join("MANIFEST.json.tmp");
-        fs::write(&tmp, self.to_json())
-            .map_err(|e| DbError::Io(format!("write manifest temp: {e}")))?;
+        let text = self.to_json();
+        fs::write(&tmp, &text).map_err(|e| DbError::Io(format!("write manifest temp: {e}")))?;
         fs::rename(&tmp, &path).map_err(|e| DbError::Io(format!("commit manifest: {e}")))?;
-        Ok(())
+        Ok(text)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample() -> Manifest {
         Manifest {
@@ -240,6 +246,71 @@ mod tests {
         }
     }
 
+    /// The commit record as a `Json` tree printed by its `Display` — the
+    /// serializer `to_json` replaced, kept as the byte-for-byte oracle.
+    fn tree_json(m: &Manifest) -> String {
+        fn obj(entries: Vec<(&str, Json)>) -> Json {
+            Json::Object(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect::<BTreeMap<_, _>>(),
+            )
+        }
+        let segments: Vec<Json> = m
+            .segments
+            .iter()
+            .map(|s| {
+                obj(vec![
+                    ("id", Json::UInt(s.id)),
+                    ("design", Json::Str(s.key.design.clone())),
+                    ("workload", Json::Str(s.key.workload.clone())),
+                    ("backend", Json::Str(s.key.backend.clone())),
+                    ("label", Json::Str(s.key.label.clone())),
+                    ("file", Json::Str(s.file.clone())),
+                    ("checksum", Json::UInt(s.checksum)),
+                    ("content", Json::UInt(s.content)),
+                    ("points", Json::UInt(s.points)),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("version", Json::UInt(MANIFEST_VERSION)),
+            ("next_time", Json::UInt(m.next_time)),
+            ("names_len", Json::UInt(m.names_len)),
+            ("names_hash", Json::UInt(m.names_hash)),
+            ("segments", Json::Array(segments)),
+        ])
+        .to_string()
+    }
+
+    #[test]
+    fn direct_serializer_matches_the_json_tree_byte_for_byte() {
+        let empty = Manifest::default();
+        assert_eq!(
+            empty.to_json(),
+            r#"{"names_hash":0,"names_len":0,"next_time":0,"segments":[],"version":1}"#
+        );
+        assert_eq!(empty.to_json(), tree_json(&empty));
+        let mut m = sample();
+        m.segments.push(RunInfo {
+            id: u64::MAX,
+            key: RunKey {
+                design: "de\"sign\\é".into(),
+                workload: "s\u{1}\t\n€".into(),
+                backend: "𝄞\\\"".into(),
+                label: "ünïcödé \"label\" \\ path\\".into(),
+            },
+            file: "seg-\"ü\".rseg".into(),
+            checksum: 0,
+            content: u64::MAX,
+            points: 123_456,
+        });
+        m.names_hash = u64::MAX;
+        assert_eq!(m.to_json(), tree_json(&m));
+        assert_eq!(Manifest::from_json(&m.to_json()).unwrap(), m);
+    }
+
     #[test]
     fn json_round_trip() {
         let m = sample();
@@ -253,11 +324,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rtlcov-manifest-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), Manifest::default());
+        assert_eq!(Manifest::read_text(&dir).unwrap(), None);
+        assert_eq!(Manifest::from_text(None).unwrap(), Manifest::default());
         // commit then reload
         let m = sample();
-        m.commit(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), m);
+        let text = m.commit(&dir).unwrap();
+        assert_eq!(Manifest::read_text(&dir).unwrap().as_deref(), Some(&*text));
+        assert_eq!(Manifest::from_text(Some(&text)).unwrap(), m);
         fs::remove_dir_all(&dir).unwrap();
     }
 

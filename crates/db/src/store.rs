@@ -83,6 +83,10 @@ fn content_hash(key: &RunKey, map: &CoverageMap) -> u64 {
 pub struct CoverageDb {
     dir: PathBuf,
     manifest: Manifest,
+    /// The exact `MANIFEST.json` text `manifest` was parsed from or
+    /// committed as (`None`: never committed). [`CoverageDb::refresh`]
+    /// re-parses only when the file's bytes differ from these.
+    manifest_text: Option<String>,
     interner: Interner,
     /// Decoded segment maps, cached by id (segments are immutable).
     seg_cache: Mutex<HashMap<u64, Arc<CoverageMap>>>,
@@ -100,7 +104,8 @@ impl CoverageDb {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, DbError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| DbError::Io(format!("create db dir: {e}")))?;
-        let manifest = Manifest::load(&dir)?;
+        let manifest_text = Manifest::read_text(&dir)?;
+        let manifest = Manifest::from_text(manifest_text.as_deref())?;
         let interner = if manifest.names_len == 0 {
             Interner::new()
         } else {
@@ -113,6 +118,7 @@ impl CoverageDb {
         Ok(CoverageDb {
             dir,
             manifest,
+            manifest_text,
             interner,
             seg_cache: Mutex::new(HashMap::new()),
             memo: MergeMemo::new(),
@@ -199,8 +205,9 @@ impl CoverageDb {
         fs::write(&tmp, &bytes).map_err(|e| DbError::Io(format!("write segment: {e}")))?;
         fs::rename(&tmp, &path).map_err(|e| DbError::Io(format!("rename segment: {e}")))?;
 
-        // 3. commit
-        let mut manifest = self.manifest.clone();
+        // 3. commit: extend the manifest in place, roll back on failure
+        let manifest = &mut self.manifest;
+        let previous = (manifest.next_time, manifest.names_len, manifest.names_hash);
         manifest.next_time = id + 1;
         manifest.names_len = self.interner.committed_len();
         manifest.names_hash = self.interner.committed_hash();
@@ -212,8 +219,14 @@ impl CoverageDb {
             content,
             points: map.len() as u64,
         });
-        manifest.commit(&self.dir)?;
-        self.manifest = manifest;
+        match manifest.commit(&self.dir) {
+            Ok(text) => self.manifest_text = Some(text),
+            Err(e) => {
+                manifest.segments.pop();
+                (manifest.next_time, manifest.names_len, manifest.names_hash) = previous;
+                return Err(e);
+            }
+        }
         if let Ok(mut cache) = self.seg_cache.lock() {
             cache.insert(id, Arc::new(map.clone()));
         }
@@ -270,18 +283,23 @@ impl CoverageDb {
     }
 
     /// Re-read the committed state from disk, picking up segments another
-    /// process (e.g. a running campaign) committed since open. Caches
-    /// survive: segments are immutable, so ids and merge nodes stay
-    /// valid.
+    /// process (e.g. a running campaign) committed since open. Costs one
+    /// file read and compare when the manifest bytes are unchanged
+    /// (including after this handle's own ingest); only changed bytes
+    /// are parsed and validated. Bytes, not mtime or inode: the commit's
+    /// rename can reuse an inode number immediately. Caches survive:
+    /// segments are immutable, so ids and merge nodes stay valid.
     ///
     /// # Errors
     ///
-    /// Same as [`CoverageDb::open`].
+    /// Same as [`CoverageDb::open`]. A changed but corrupt manifest keeps
+    /// failing until it is fixed; the previous state stays loaded.
     pub fn refresh(&mut self) -> Result<bool, DbError> {
-        let manifest = Manifest::load(&self.dir)?;
-        if manifest == self.manifest {
+        let text = Manifest::read_text(&self.dir)?;
+        if text == self.manifest_text {
             return Ok(false);
         }
+        let manifest = Manifest::from_text(text.as_deref())?;
         let interner = if manifest.names_len == 0 {
             Interner::new()
         } else {
@@ -292,6 +310,7 @@ impl CoverageDb {
             )?
         };
         self.manifest = manifest;
+        self.manifest_text = text;
         self.interner = interner;
         Ok(true)
     }
@@ -461,6 +480,57 @@ mod tests {
         assert!(reader.refresh().unwrap());
         assert_eq!(reader.runs().len(), 2);
         assert_eq!(*reader.segment_map(1).unwrap(), map(&[("b", 2)]));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_after_own_ingest_is_a_no_op() {
+        let dir = tmp("refresh-own");
+        let mut db = CoverageDb::open(&dir).unwrap();
+        assert!(!db.refresh().unwrap(), "empty db, no manifest yet");
+        db.ingest(&key("gcd", "s0"), &map(&[("a", 1)])).unwrap();
+        assert!(!db.refresh().unwrap(), "own commit is already loaded");
+        db.ingest(&key("gcd", "s1"), &map(&[("b", 1)])).unwrap();
+        assert!(!db.refresh().unwrap());
+        assert_eq!(db.runs().len(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_sees_another_handles_commit_after_its_own() {
+        let dir = tmp("refresh-other");
+        let mut a = CoverageDb::open(&dir).unwrap();
+        let mut b = CoverageDb::open(&dir).unwrap();
+        a.ingest(&key("gcd", "s0"), &map(&[("a", 1)])).unwrap();
+        assert!(b.refresh().unwrap());
+        b.ingest(&key("gcd", "s1"), &map(&[("b", 2)])).unwrap();
+        assert!(!b.refresh().unwrap());
+        assert!(a.refresh().unwrap(), "b's commit changed the bytes");
+        assert_eq!(a.runs(), b.runs());
+        assert_eq!(*a.segment_map(1).unwrap(), map(&[("b", 2)]));
+        assert!(!a.refresh().unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_reports_a_manifest_corrupted_after_open() {
+        let dir = tmp("refresh-corrupt");
+        let mut db = CoverageDb::open(&dir).unwrap();
+        db.ingest(&key("gcd", "s0"), &map(&[("a", 1)])).unwrap();
+        let path = dir.join("MANIFEST.json");
+        let good = fs::read_to_string(&path).unwrap();
+        // same length, one byte flipped: still a different file
+        fs::write(&path, good.replacen("\"segments\"", "\"segmentz\"", 1)).unwrap();
+        assert!(matches!(db.refresh(), Err(DbError::Corrupt(_))));
+        assert!(db.refresh().is_err(), "the gate must not hide it next time");
+        assert_eq!(db.runs().len(), 1, "the last good state stays loaded");
+        fs::write(&path, &good).unwrap();
+        assert!(
+            !db.refresh().unwrap(),
+            "restored bytes are the loaded state"
+        );
+        fs::write(&path, "").unwrap();
+        assert!(db.refresh().is_err(), "an emptied manifest is corrupt too");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -593,18 +593,18 @@ mod tests {
         // 3 pigeons, 2 holes: unsat; requires real conflict analysis
         let mut s = Solver::new();
         let mut p = [[Lit(0); 2]; 3];
-        for i in 0..3 {
-            for j in 0..2 {
-                p[i][j] = Lit::pos(s.new_var());
+        for row in p.iter_mut() {
+            for cell in row.iter_mut() {
+                *cell = Lit::pos(s.new_var());
             }
         }
         for pi in &p {
             s.add_clause(vec![pi[0], pi[1]]);
         }
         for j in 0..2 {
-            for a in 0..3 {
-                for b in (a + 1)..3 {
-                    s.add_clause(vec![!p[a][j], !p[b][j]]);
+            for (a, pa) in p.iter().enumerate() {
+                for pb in &p[a + 1..] {
+                    s.add_clause(vec![!pa[j], !pb[j]]);
                 }
             }
         }
@@ -703,9 +703,9 @@ mod tests {
             s.add_clause(row.clone());
         }
         for j in 0..n_h {
-            for a in 0..n_p {
-                for b in (a + 1)..n_p {
-                    s.add_clause(vec![!p[a][j], !p[b][j]]);
+            for (a, pa) in p.iter().enumerate() {
+                for pb in &p[a + 1..] {
+                    s.add_clause(vec![!pa[j], !pb[j]]);
                 }
             }
         }
