@@ -1,15 +1,13 @@
 //! Software-simulator benchmark: the micro-op optimizer and partitioned
-//! activity scheduling, A/B'd against the unoptimized seed pipeline.
+//! activity scheduling, A/B'd against the unoptimized compiled pipeline.
 //!
 //! Every campaign design (plus two deliberately idle variants, where
 //! activity scheduling shines) is instrumented with line coverage and
-//! replayed on four configurations:
+//! replayed on three configurations:
 //!
 //! 1. **compiled-raw** — the straight-line executor, optimizer off;
 //! 2. **compiled-opt** — the same executor on the optimized program;
-//! 3. **essent-seed**  — the per-instruction dirty-tracking engine, as
-//!    seeded, optimizer off;
-//! 4. **essent-part**  — the partitioned worklist engine on the optimized
+//! 3. **essent-part**  — the partitioned worklist engine on the optimized
 //!    program (the default pipeline).
 //!
 //! Reports cycles/second per configuration, the executed-instruction and
@@ -156,26 +154,6 @@ fn run_configs(workload: &Workload, inst: &Circuit) -> Vec<(&'static str, Config
         },
     ));
 
-    let seed_opts = EssentOptions {
-        optimize: false,
-        partition: false,
-        ..EssentOptions::default()
-    };
-    let (us, sim) = time_run(workload, || {
-        EssentSim::new_with(inst, &seed_opts).expect("essent-seed")
-    });
-    out.push((
-        "essent_seed",
-        ConfigRun {
-            us,
-            cps: per_second(cycles, us),
-            activity_permille: Some(fraction_permille(sim.activity_factor())),
-            partition_activity_permille: None,
-            partitions: None,
-            opt: None,
-        },
-    ));
-
     let (us, sim) = time_run(workload, || {
         EssentSim::new_with(inst, &EssentOptions::default()).expect("essent-part")
     });
@@ -186,7 +164,7 @@ fn run_configs(workload: &Workload, inst: &Circuit) -> Vec<(&'static str, Config
             cps: per_second(cycles, us),
             activity_permille: Some(fraction_permille(sim.activity_factor())),
             partition_activity_permille: sim.partition_activity().map(fraction_permille),
-            partitions: sim.partitions(),
+            partitions: Some(sim.partitions()),
             opt: Some(sim.opt_stats()),
         },
     ));
@@ -257,20 +235,16 @@ fn main() {
             .expect("instrument");
         let runs = run_configs(workload, &inst.circuit);
         let by_name: BTreeMap<&str, &ConfigRun> = runs.iter().map(|(n, r)| (*n, r)).collect();
-        let part_vs_seed = permille(by_name["essent_part"].cps, by_name["essent_seed"].cps);
         let opt_vs_raw = permille(by_name["compiled_opt"].cps, by_name["compiled_raw"].cps);
 
         println!(
-            "{:<12} {:>8} cycles | raw {:>9}/s opt {:>9}/s | essent seed {:>9}/s part {:>9}/s \
-             ({}.{:03}x, instr activity {}‰)",
+            "{:<12} {:>8} cycles | raw {:>9}/s opt {:>9}/s | essent {:>9}/s \
+             (instr activity {}‰)",
             workload.name,
             workload.trace.cycles(),
             by_name["compiled_raw"].cps,
             by_name["compiled_opt"].cps,
-            by_name["essent_seed"].cps,
             by_name["essent_part"].cps,
-            part_vs_seed / 1000,
-            part_vs_seed % 1000,
             by_name["essent_part"].activity_permille.unwrap_or(1000),
         );
 
@@ -278,10 +252,10 @@ fn main() {
             ("cycles", Json::UInt(workload.trace.cycles() as u64)),
             (
                 "speedup",
-                obj(vec![
-                    ("essent_part_vs_seed_permille", Json::UInt(part_vs_seed)),
-                    ("compiled_opt_vs_raw_permille", Json::UInt(opt_vs_raw)),
-                ]),
+                obj(vec![(
+                    "compiled_opt_vs_raw_permille",
+                    Json::UInt(opt_vs_raw),
+                )]),
             ),
         ];
         for (cfg, run) in &runs {

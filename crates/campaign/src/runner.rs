@@ -60,6 +60,7 @@ use rtlcov_designs::workloads::campaign_workload;
 use rtlcov_formal::bmc::{self, BmcOptions};
 use rtlcov_fpga::FpgaBackend;
 use rtlcov_sim::elaborate::{elaborate, FlatCircuit};
+use rtlcov_sim::Simulator;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -367,51 +368,21 @@ fn run_job(
     config: &CampaignConfig,
     stall: bool,
 ) -> Result<(CoverageMap, bool), String> {
-    match run_on {
-        Backend::Sim(kind) => {
-            let mut sim = kind
-                .build_with(&ctx.instrumented.circuit, &config.sim_options)
-                .map_err(|e| e.to_string())?;
-            let workload = campaign_workload(&ctx.name, job.shard, config.scale)
-                .ok_or_else(|| format!("no workload for design `{}`", ctx.name))?;
-            let fuel = effective_fuel(config.job_fuel, stall, workload.trace.cycles());
-            if let Some(fuel) = fuel {
-                sim.set_fuel(fuel);
-            }
-            let mut map = workload.run(&mut *sim);
-            if stall {
-                while !sim.out_of_fuel() {
-                    sim.step();
-                }
-                map = sim.cover_counts();
-            }
-            Ok((map, sim.out_of_fuel()))
-        }
-        Backend::Fpga => {
-            let mut sim = FpgaBackend::with_default_width(&ctx.instrumented.circuit)
-                .map_err(|e| e.to_string())?;
-            let workload = campaign_workload(&ctx.name, job.shard, config.scale)
-                .ok_or_else(|| format!("no workload for design `{}`", ctx.name))?;
-            let fuel = effective_fuel(config.job_fuel, stall, workload.trace.cycles());
-            if let Some(fuel) = fuel {
-                rtlcov_sim::Simulator::set_fuel(&mut sim, fuel);
-            }
-            let mut map = workload.run(&mut sim);
-            if stall {
-                while !rtlcov_sim::Simulator::out_of_fuel(&sim) {
-                    rtlcov_sim::Simulator::step(&mut sim);
-                }
-                map = rtlcov_sim::Simulator::cover_counts(&sim);
-            }
-            Ok((map, rtlcov_sim::Simulator::out_of_fuel(&sim)))
-        }
+    let mut sim: Box<dyn Simulator> = match run_on {
+        Backend::Sim(kind) => kind
+            .build_with(&ctx.instrumented.circuit, &config.sim_options)
+            .map_err(|e| e.to_string())?,
+        Backend::Fpga => Box::new(
+            FpgaBackend::with_default_width(&ctx.instrumented.circuit)
+                .map_err(|e| e.to_string())?,
+        ),
         Backend::Formal => {
             let flat = ctx
                 .flat
                 .as_ref()
                 .ok_or("design was not elaborated for formal")?;
             let fuel = if stall { Some(1) } else { config.job_fuel };
-            let (map, exhausted) = bmc::cover_map_fueled(
+            return bmc::cover_map_fueled(
                 flat,
                 BmcOptions {
                     max_steps: config.bmc_steps,
@@ -419,10 +390,22 @@ fn run_job(
                     ..Default::default()
                 },
             )
-            .map_err(|e| e.to_string())?;
-            Ok((map, exhausted))
+            .map_err(|e| e.to_string());
         }
+    };
+    let workload = campaign_workload(&ctx.name, job.shard, config.scale)
+        .ok_or_else(|| format!("no workload for design `{}`", ctx.name))?;
+    if let Some(fuel) = effective_fuel(config.job_fuel, stall, workload.trace.cycles()) {
+        sim.set_fuel(fuel);
     }
+    let mut map = workload.run(&mut *sim);
+    if stall {
+        while !sim.out_of_fuel() {
+            sim.step();
+        }
+        map = sim.cover_counts();
+    }
+    Ok((map, sim.out_of_fuel()))
 }
 
 /// The database run key a campaign job commits under. The backend is the

@@ -2,15 +2,17 @@
 //!
 //! A byte script deterministically generates a random FIRRTL circuit and
 //! an input stimulus; the circuit then runs on every software backend
-//! configuration — compiled with and without the micro-op optimizer, and
-//! the activity-driven engine in seed (per-instruction) and partitioned
-//! form. All four must agree bit-for-bit on every named signal at every
-//! cycle and on the final coverage maps. This is the executable statement
-//! of the optimizer/partitioner contract: pure performance, zero
-//! observable difference.
+//! configuration: the interpreter (the reference oracle), compiled with
+//! and without the micro-op optimizer, and the activity-driven engine with
+//! default partitions and with one-instruction partitions on the
+//! unoptimized program. All five must agree bit-for-bit on every named
+//! signal at every cycle and on the final coverage maps. This is the
+//! executable statement of the optimizer/partitioner contract: pure
+//! performance, zero observable difference.
 
 use rtlcov_sim::compiled::CompiledSim;
 use rtlcov_sim::essent::{EssentOptions, EssentSim};
+use rtlcov_sim::interp::InterpSim;
 use rtlcov_sim::opt::OptOptions;
 use rtlcov_sim::{SimError, Simulator};
 
@@ -37,6 +39,10 @@ impl<'a> Script<'a> {
     fn next_u16(&mut self) -> u16 {
         u16::from_le_bytes([self.next(), self.next()])
     }
+
+    fn pick(&mut self, pool: &[String]) -> String {
+        pool[self.next() as usize % pool.len()].clone()
+    }
 }
 
 /// Generate a random-but-deterministic FIRRTL circuit from a byte script.
@@ -46,6 +52,10 @@ impl<'a> Script<'a> {
 /// covers the micro-ops the optimizer rewrites (constant folds, shifts,
 /// compares, muxes, signed shifts, reductions) and the circuit carries
 /// `cover` and `cover_values` statements so batched sampling is exercised.
+/// One 8-word memory `m` has a reader whose data joins the operand pool
+/// and a writer; both take their address from the pool, and half the
+/// scripts give them the same address, so a cycle can write and read one
+/// word.
 pub fn generate_circuit(script: &[u8]) -> String {
     let mut s = Script::new(script);
     let n_inputs = 1 + (s.next() % 3) as usize;
@@ -57,6 +67,7 @@ pub fn generate_circuit(script: &[u8]) -> String {
 
     // operand pool: names of 16-bit values usable as arguments
     let mut pool: Vec<String> = Vec::new();
+    let mut mem_addr = String::new();
 
     let mut input_widths = Vec::new();
     for i in 0..n_inputs {
@@ -84,9 +95,20 @@ pub fn generate_circuit(script: &[u8]) -> String {
     }
 
     for n in 0..n_nodes {
-        let a = pool[(s.next() as usize) % pool.len()].clone();
-        let b = pool[(s.next() as usize) % pool.len()].clone();
-        let c = pool[(s.next() as usize) % pool.len()].clone();
+        if n == n_nodes / 2 {
+            let addr = s.pick(&pool);
+            let en = s.pick(&pool);
+            src.push_str(&format!(
+                "    mem m : UInt<16>[8], readers(r), writers(w)\n    \
+                 m.r.addr <= tail({addr}, 13)\n    m.r.en <= orr({en})\n    \
+                 node rd = m.r.data\n"
+            ));
+            pool.push("rd".into());
+            mem_addr = addr;
+        }
+        let a = s.pick(&pool);
+        let b = s.pick(&pool);
+        let c = s.pick(&pool);
         let imm = s.next();
         let raw = match s.next() % 20 {
             0 => format!("add({a}, {b})"),
@@ -115,21 +137,31 @@ pub fn generate_circuit(script: &[u8]) -> String {
     }
 
     for j in 0..n_regs {
-        let v = pool[(s.next() as usize) % pool.len()].clone();
+        let v = s.pick(&pool);
         src.push_str(&format!("    r{j} <= {v}\n"));
     }
-    let o = pool[(s.next() as usize) % pool.len()].clone();
+    let o = s.pick(&pool);
     src.push_str(&format!("    out <= {o}\n"));
+    let wa = if s.next() < 128 {
+        mem_addr
+    } else {
+        s.pick(&pool)
+    };
+    let (wen, wd) = (s.pick(&pool), s.pick(&pool));
+    src.push_str(&format!(
+        "    m.w.addr <= tail({wa}, 13)\n    m.w.en <= orr({wen})\n    \
+         m.w.data <= {wd}\n    m.w.mask <= UInt<1>(1)\n"
+    ));
 
-    let p0 = pool[(s.next() as usize) % pool.len()].clone();
-    let p1 = pool[(s.next() as usize) % pool.len()].clone();
-    let p2 = pool[(s.next() as usize) % pool.len()].clone();
+    let p0 = s.pick(&pool);
+    let p1 = s.pick(&pool);
+    let p2 = s.pick(&pool);
     src.push_str(&format!(
         "    cover(clock, orr({p0}), UInt<1>(1)) : c0\n    cover(clock, eq({p1}, {p2}), UInt<1>(1)) : c1\n"
     ));
     // a 4-bit observed signal keeps the cover_values key space small
-    let cv = pool[(s.next() as usize) % pool.len()].clone();
-    let en = pool[(s.next() as usize) % pool.len()].clone();
+    let cv = s.pick(&pool);
+    let en = s.pick(&pool);
     src.push_str(&format!(
         "    node cvn = tail({cv}, 12)\n    cover_values(clock, cvn, orr({en})) : v0\n"
     ));
@@ -145,9 +177,10 @@ pub struct EquivReport {
     pub signals: usize,
 }
 
-/// Generate a circuit and stimulus from `script` and require all four
-/// software backend configurations to agree on every peek each cycle and
-/// on the final cover maps.
+/// Generate a circuit and stimulus from `script` and require the four
+/// compiled and essent configurations to agree with the interpreter on
+/// every peek each cycle and on the final cover maps. Every cycle also issues
+/// one script-derived backdoor `write_mem` on every simulator.
 ///
 /// # Errors
 ///
@@ -157,31 +190,28 @@ pub fn check_equivalence(script: &[u8]) -> Result<EquivReport, String> {
     let circuit = rtlcov_firrtl::parser::parse(&src).map_err(|e| format!("parse: {e:?}"))?;
     let low = rtlcov_firrtl::passes::lower(circuit).map_err(|e| format!("lower: {e:?}"))?;
 
-    let seed_opts = EssentOptions {
+    let one_instr = EssentOptions {
         optimize: false,
         partition: false,
-        ..EssentOptions::default()
     };
+    fn boxed(s: impl Simulator + 'static) -> Box<dyn Simulator> {
+        Box::new(s)
+    }
     type Build = Result<Box<dyn Simulator>, SimError>;
     let build: Vec<(&str, Build)> = vec![
+        ("interp", InterpSim::new(&low).map(boxed)),
         (
             "compiled-raw",
-            CompiledSim::new_with(&low, &OptOptions::none())
-                .map(|s| Box::new(s) as Box<dyn Simulator>),
+            CompiledSim::new_with(&low, &OptOptions::none()).map(boxed),
         ),
         (
             "compiled-opt",
-            CompiledSim::new_with(&low, &OptOptions::default())
-                .map(|s| Box::new(s) as Box<dyn Simulator>),
+            CompiledSim::new_with(&low, &OptOptions::default()).map(boxed),
         ),
-        (
-            "essent-seed",
-            EssentSim::new_with(&low, &seed_opts).map(|s| Box::new(s) as Box<dyn Simulator>),
-        ),
+        ("essent", EssentSim::new_with(&low, &one_instr).map(boxed)),
         (
             "essent-part",
-            EssentSim::new_with(&low, &EssentOptions::default())
-                .map(|s| Box::new(s) as Box<dyn Simulator>),
+            EssentSim::new_with(&low, &EssentOptions::default()).map(boxed),
         ),
     ];
     let mut sims: Vec<(&str, Box<dyn Simulator>)> = Vec::new();
@@ -189,15 +219,24 @@ pub fn check_equivalence(script: &[u8]) -> Result<EquivReport, String> {
         sims.push((name, r.map_err(|e| format!("{name}: {e}"))?));
     }
 
-    let mut signals = sims[0].1.signals();
-    signals.sort();
+    let signals = sims[0].1.signals();
     for (name, sim) in &sims[1..] {
-        let mut theirs = sim.signals();
-        theirs.sort();
-        if theirs != signals {
-            return Err(format!("{name}: signal set differs from compiled-raw"));
+        if sim.signals() != signals {
+            return Err(format!("{name}: signal set differs from interp"));
         }
     }
+    let agree = |sims: &[(&str, Box<dyn Simulator>)], when: &str| -> Result<(), String> {
+        for sig in &signals {
+            let want = sims[0].1.peek(sig);
+            for (name, sim) in &sims[1..] {
+                let got = sim.peek(sig);
+                if got != want {
+                    return Err(format!("{when} `{sig}`: interp={want} {name}={got}"));
+                }
+            }
+        }
+        Ok(())
+    };
 
     let mut s = Script::new(script);
     // skip the generator prefix so stimulus differs from structure
@@ -205,54 +244,36 @@ pub fn check_equivalence(script: &[u8]) -> Result<EquivReport, String> {
         s.next();
     }
     let cycles = 8 + (s.next() % 25) as usize;
-    let inputs: Vec<(String, u32)> = {
-        let n_inputs = 1 + (script.first().copied().unwrap_or(0) % 3) as usize;
-        (0..n_inputs).map(|i| (format!("in{i}"), 16u32)).collect()
-    };
+    let n_inputs = 1 + (script.first().copied().unwrap_or(0) % 3) as usize;
 
     for (_, sim) in sims.iter_mut() {
         sim.reset(1);
     }
     for cycle in 0..cycles {
-        for (name, _) in &inputs {
-            let v = s.next_u16() as u64;
+        let (addr, word) = (u64::from(s.next() % 8), u64::from(s.next_u16()));
+        for (name, sim) in sims.iter_mut() {
+            sim.write_mem("m", addr, word)
+                .map_err(|e| format!("cycle {cycle} {name}: {e}"))?;
+        }
+        for i in 0..n_inputs {
+            let v = u64::from(s.next_u16());
             for (_, sim) in sims.iter_mut() {
-                sim.poke(name, v);
+                sim.poke(&format!("in{i}"), v);
             }
         }
         // pre-step peeks exercise settle-under-poke on every backend
-        for sig in &signals {
-            let want = sims[0].1.peek(sig);
-            for (name, sim) in &sims[1..] {
-                let got = sim.peek(sig);
-                if got != want {
-                    return Err(format!(
-                        "cycle {cycle} pre-step `{sig}`: compiled-raw={want} {name}={got}"
-                    ));
-                }
-            }
-        }
+        agree(&sims, &format!("cycle {cycle} pre-step"))?;
         for (_, sim) in sims.iter_mut() {
             sim.step();
         }
     }
-    for sig in &signals {
-        let want = sims[0].1.peek(sig);
-        for (name, sim) in &sims[1..] {
-            let got = sim.peek(sig);
-            if got != want {
-                return Err(format!("final `{sig}`: compiled-raw={want} {name}={got}"));
-            }
-        }
-    }
+    agree(&sims, "final")?;
 
     let want = sims[0].1.cover_counts();
     for (name, sim) in &sims[1..] {
         let got = sim.cover_counts();
         if got != want {
-            return Err(format!(
-                "cover maps differ: compiled-raw={want:?} {name}={got:?}"
-            ));
+            return Err(format!("cover maps differ: interp={want:?} {name}={got:?}"));
         }
     }
     Ok(EquivReport {

@@ -3,7 +3,7 @@
 //! This is the Verilator-analog architecture: the combinational logic is
 //! topologically sorted and flattened into three-address code over `u64`
 //! value slots, executed in a tight loop. The activity-driven (ESSENT
-//! analog) backend reuses the same program with per-instruction skipping.
+//! analog) backend reuses the same program with partition-level skipping.
 //!
 //! Restriction: every signal (including intermediate node widths) must fit
 //! in 64 bits; wider designs are served by the interpreter backend.

@@ -9,27 +9,172 @@
 //! Verilator's built-in coverage on the generated Verilog — which
 //! Figure 8 compares against the paper's FIRRTL-level instrumentation.
 //!
-//! Mutable execution state lives behind a [`RefCell`] so that
-//! [`Simulator::peek`] can lazily settle combinational logic through a
-//! shared reference; a `settled` flag makes repeated peeks (e.g. VCD
-//! sampling of every signal) O(1) instead of a full re-evaluation each.
+//! The slots and memories live in one `ExecState`, which the
+//! activity-driven backend ([`crate::essent`]) shares. It sits behind a
+//! [`RefCell`] so that [`Simulator::peek`] can lazily settle
+//! combinational logic through a shared reference; a `settled` flag makes
+//! repeated peeks (e.g. VCD sampling of every signal) O(1) instead of a
+//! full re-evaluation each.
 
-use crate::compile::{compile, Instr, MicroOp, Program};
+use crate::compile::{compile, mask_for, Instr, MicroOp, Program};
 use crate::elaborate::elaborate;
 use crate::opt::{optimize, OptOptions, OptStats};
-use crate::{Fuel, SimError, Simulator};
+use crate::{Fuel, SimBuildOptions, SimError, Simulator};
 use rtlcov_core::CoverageMap;
 use rtlcov_firrtl::ir::Circuit;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-/// Mutable execution state, interior-mutable so `peek(&self)` can settle.
+/// Elaborate, compile and optimize a lowered circuit.
+pub(crate) fn build_program(
+    circuit: &Circuit,
+    opts: &OptOptions,
+) -> Result<(Program, OptStats), SimError> {
+    let flat = elaborate(circuit).map_err(|e| SimError(e.0))?;
+    let prog = compile(&flat).map_err(|e| SimError(e.0))?;
+    Ok(optimize(&prog, opts))
+}
+
+/// Everything a running [`Program`] mutates — every slot and every memory
+/// word — in one place, shared by the compiled and activity-driven
+/// backends. The program stays with the backend (essent keeps its
+/// reordered copy in a [`crate::partition::PartitionedProgram`]), so the
+/// methods take it by reference.
 #[derive(Debug, Clone)]
-struct ExecState {
-    slots: Vec<u64>,
-    mems: Vec<Vec<u64>>,
-    /// Combinational logic is consistent with current inputs/state.
-    settled: bool,
+pub(crate) struct ExecState {
+    pub(crate) slots: Vec<u64>,
+    pub(crate) mems: Vec<Vec<u64>>,
+}
+
+impl ExecState {
+    /// Initial slot values and zeroed memories.
+    pub(crate) fn new(prog: &Program) -> Self {
+        ExecState {
+            slots: prog.init_slots.clone(),
+            mems: prog.mems.iter().map(|m| vec![0; m.depth]).collect(),
+        }
+    }
+
+    /// Execute `instrs` in order: the settle hot loop of both backends.
+    #[inline]
+    pub(crate) fn exec(&mut self, instrs: &[Instr]) {
+        for instr in instrs {
+            exec_instr(instr, &mut self.slots, &self.mems);
+        }
+    }
+
+    /// Current value of a named signal.
+    pub(crate) fn peek(&self, prog: &Program, signal: &str) -> u64 {
+        self.slots[prog.signal_slot[signal] as usize]
+    }
+
+    /// Drive a signal, masked to its width. Returns its slot if the value
+    /// changed.
+    pub(crate) fn poke(&mut self, prog: &Program, signal: &str, value: u64) -> Option<usize> {
+        let slot = prog.signal_slot[signal] as usize;
+        let v = value & mask_for(prog.slot_width[slot]);
+        if self.slots[slot] == v {
+            return None;
+        }
+        self.slots[slot] = v;
+        Some(slot)
+    }
+
+    /// Apply every enabled memory write with pre-edge slot values; calls
+    /// `changed(m)` for each write that changed memory `m`.
+    pub(crate) fn commit_mems(&mut self, prog: &Program, mut changed: impl FnMut(usize)) {
+        for (m, mem) in prog.mems.iter().enumerate() {
+            for w in &mem.writers {
+                if self.slots[w.en as usize] == 0 || self.slots[w.mask as usize] == 0 {
+                    continue;
+                }
+                let data = self.slots[w.data as usize] & mem.mask;
+                match self.mems[m].get_mut(self.slots[w.addr as usize] as usize) {
+                    Some(word) if *word != data => {
+                        *word = data;
+                        changed(m);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Latch every register's next value; calls `changed(slot)` for each
+    /// register whose value changed.
+    pub(crate) fn commit_regs(&mut self, prog: &Program, mut changed: impl FnMut(usize)) {
+        for r in &prog.regs {
+            let (value, next) = (r.value as usize, self.slots[r.next as usize]);
+            if self.slots[value] != next {
+                self.slots[value] = next;
+                changed(value);
+            }
+        }
+    }
+
+    /// Backdoor write, masked to the memory's width. Returns the memory's
+    /// index.
+    pub(crate) fn write_mem(
+        &mut self,
+        prog: &Program,
+        mem: &str,
+        addr: u64,
+        value: u64,
+    ) -> Result<usize, SimError> {
+        let m = mem_index(prog, mem)?;
+        let word = self.mems[m]
+            .get_mut(addr as usize)
+            .ok_or_else(|| out_of_range(mem, addr))?;
+        *word = value & prog.mems[m].mask;
+        Ok(m)
+    }
+
+    /// Backdoor read.
+    pub(crate) fn read_mem(&self, prog: &Program, mem: &str, addr: u64) -> Result<u64, SimError> {
+        let m = mem_index(prog, mem)?;
+        self.mems[m]
+            .get(addr as usize)
+            .copied()
+            .ok_or_else(|| out_of_range(mem, addr))
+    }
+
+    /// All signal names of `prog`, sorted.
+    pub(crate) fn signals(prog: &Program) -> Vec<String> {
+        let mut v: Vec<String> = prog.signal_slot.keys().cloned().collect();
+        v.sort();
+        v
+    }
+
+    /// The §3 cover map: each cover's count from `count(i)` (declared even
+    /// at zero) and each `cover_values` bucket from `values`.
+    pub(crate) fn cover_map(
+        prog: &Program,
+        count: impl Fn(usize) -> u64,
+        values: &[HashMap<u64, u64>],
+    ) -> CoverageMap {
+        let mut map = CoverageMap::new();
+        for (i, cov) in prog.covers.iter().enumerate() {
+            map.record(&cov.name, count(i));
+            map.declare(&cov.name);
+        }
+        for (cv, counts) in prog.cover_values.iter().zip(values) {
+            for (value, count) in counts {
+                map.record(format!("{}[{value}]", cv.name), *count);
+            }
+        }
+        map
+    }
+}
+
+fn mem_index(prog: &Program, mem: &str) -> Result<usize, SimError> {
+    prog.mems
+        .iter()
+        .position(|m| m.name == mem)
+        .ok_or_else(|| SimError(format!("unknown memory `{mem}`")))
+}
+
+fn out_of_range(mem: &str, addr: u64) -> SimError {
+    SimError(format!("address {addr} out of range for `{mem}`"))
 }
 
 /// Dense-slot compiled simulator.
@@ -37,6 +182,8 @@ struct ExecState {
 pub struct CompiledSim {
     prog: Program,
     st: RefCell<ExecState>,
+    /// Combinational logic is consistent with current inputs/state.
+    settled: Cell<bool>,
     cover_counts: Vec<u64>,
     cover_values_counts: Vec<HashMap<u64, u64>>,
     /// Verilator-style structural coverage: (true_count, false_count) per
@@ -52,15 +199,14 @@ pub struct CompiledSim {
 
 impl CompiledSim {
     /// Build a compiled simulator from a lowered circuit with the default
-    /// optimization pipeline (honoring the `RTLCOV_SIM_NO_OPT` escape
-    /// hatch).
+    /// optimization pipeline (honoring [`SimBuildOptions::from_env`]).
     ///
     /// # Errors
     ///
     /// Propagates elaboration and compilation failures (combinational loops,
     /// >64-bit signals).
     pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
-        Self::new_with(circuit, &OptOptions::from_env())
+        Self::new_with(circuit, &SimBuildOptions::from_env().opt_options())
     }
 
     /// Build with explicit optimizer options ([`OptOptions::none`] gives
@@ -70,9 +216,7 @@ impl CompiledSim {
     ///
     /// Propagates elaboration and compilation failures.
     pub fn new_with(circuit: &Circuit, opts: &OptOptions) -> Result<Self, SimError> {
-        let flat = elaborate(circuit).map_err(|e| SimError(e.0))?;
-        let prog = compile(&flat).map_err(|e| SimError(e.0))?;
-        let (prog, stats) = optimize(&prog, opts);
+        let (prog, stats) = build_program(circuit, opts)?;
         let mut sim = Self::from_program(prog);
         sim.opt_stats = stats;
         Ok(sim)
@@ -80,10 +224,6 @@ impl CompiledSim {
 
     /// Build from an already-compiled program, as-is (no optimization).
     pub fn from_program(prog: Program) -> Self {
-        let slots = prog.init_slots.clone();
-        let mems = prog.mems.iter().map(|m| vec![0u64; m.depth]).collect();
-        let cover_counts = vec![0; prog.covers.len()];
-        let cover_values_counts = vec![HashMap::new(); prog.cover_values.len()];
         let mux_conds = prog
             .instrs
             .iter()
@@ -91,20 +231,17 @@ impl CompiledSim {
             .map(|i| i.c)
             .collect();
         CompiledSim {
-            prog,
-            st: RefCell::new(ExecState {
-                slots,
-                mems,
-                settled: false,
-            }),
-            cover_counts,
-            cover_values_counts,
+            st: RefCell::new(ExecState::new(&prog)),
+            settled: Cell::new(false),
+            cover_counts: vec![0; prog.covers.len()],
+            cover_values_counts: vec![HashMap::new(); prog.cover_values.len()],
             native_mux: None,
             native_names: Vec::new(),
             mux_conds,
             cycles: 0,
             fuel: Fuel::unlimited(),
             opt_stats: OptStats::default(),
+            prog,
         }
     }
 
@@ -149,14 +286,10 @@ impl CompiledSim {
     /// Bring combinational logic up to date with inputs/state. Idempotent
     /// until the next poke/step/memory write.
     fn settle(&self) {
-        let st = &mut *self.st.borrow_mut();
-        if st.settled {
-            return;
+        if !self.settled.get() {
+            self.st.borrow_mut().exec(&self.prog.instrs);
+            self.settled.set(true);
         }
-        for instr in &self.prog.instrs {
-            exec_instr(instr, &mut st.slots, &st.mems);
-        }
-        st.settled = true;
     }
 
     fn sample_covers(&mut self) {
@@ -177,23 +310,9 @@ impl CompiledSim {
 
     fn commit(&mut self) {
         let st = self.st.get_mut();
-        // memory writes use pre-edge values
-        for m in 0..self.prog.mems.len() {
-            let mem = &self.prog.mems[m];
-            for w in &mem.writers {
-                if st.slots[w.en as usize] != 0 && st.slots[w.mask as usize] != 0 {
-                    let addr = st.slots[w.addr as usize] as usize;
-                    if addr < mem.depth {
-                        let data = st.slots[w.data as usize] & mem.mask;
-                        st.mems[m][addr] = data;
-                    }
-                }
-            }
-        }
-        for r in &self.prog.regs {
-            st.slots[r.value as usize] = st.slots[r.next as usize];
-        }
-        st.settled = false;
+        st.commit_mems(&self.prog, |_| {});
+        st.commit_regs(&self.prog, |_| {});
+        self.settled.set(false);
     }
 }
 
@@ -306,17 +425,14 @@ pub(crate) fn exec_instr(i: &Instr, slots: &mut [u64], mems: &[Vec<u64>]) {
 
 impl Simulator for CompiledSim {
     fn poke(&mut self, signal: &str, value: u64) {
-        let slot = self.prog.signal_slot[signal] as usize;
-        let w = self.prog.slot_width[slot];
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        let st = self.st.get_mut();
-        st.slots[slot] = value & mask;
-        st.settled = false;
+        if self.st.get_mut().poke(&self.prog, signal, value).is_some() {
+            self.settled.set(false);
+        }
     }
 
     fn peek(&self, signal: &str) -> u64 {
         self.settle();
-        self.st.borrow().slots[self.prog.signal_slot[signal] as usize]
+        self.st.borrow().peek(&self.prog, signal)
     }
 
     fn step(&mut self) {
@@ -350,54 +466,25 @@ impl Simulator for CompiledSim {
     }
 
     fn cover_counts(&self) -> CoverageMap {
-        let mut map = CoverageMap::new();
-        for (i, cov) in self.prog.covers.iter().enumerate() {
-            map.record(&cov.name, self.cover_counts[i]);
-            map.declare(&cov.name);
-        }
-        for (i, cv) in self.prog.cover_values.iter().enumerate() {
-            for (value, count) in &self.cover_values_counts[i] {
-                map.record(format!("{}[{value}]", cv.name), *count);
-            }
-        }
-        map
+        ExecState::cover_map(
+            &self.prog,
+            |i| self.cover_counts[i],
+            &self.cover_values_counts,
+        )
     }
 
     fn write_mem(&mut self, mem: &str, addr: u64, value: u64) -> Result<(), SimError> {
-        let idx = self
-            .prog
-            .mems
-            .iter()
-            .position(|m| m.name == mem)
-            .ok_or_else(|| SimError(format!("unknown memory `{mem}`")))?;
-        let depth = self.prog.mems[idx].depth;
-        if addr as usize >= depth {
-            return Err(SimError(format!("address {addr} out of range for `{mem}`")));
-        }
-        let mask = self.prog.mems[idx].mask;
-        let st = self.st.get_mut();
-        st.mems[idx][addr as usize] = value & mask;
-        st.settled = false;
+        self.st.get_mut().write_mem(&self.prog, mem, addr, value)?;
+        self.settled.set(false);
         Ok(())
     }
 
     fn read_mem(&self, mem: &str, addr: u64) -> Result<u64, SimError> {
-        let idx = self
-            .prog
-            .mems
-            .iter()
-            .position(|m| m.name == mem)
-            .ok_or_else(|| SimError(format!("unknown memory `{mem}`")))?;
-        self.st.borrow().mems[idx]
-            .get(addr as usize)
-            .copied()
-            .ok_or_else(|| SimError(format!("address {addr} out of range for `{mem}`")))
+        self.st.borrow().read_mem(&self.prog, mem, addr)
     }
 
     fn signals(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.prog.signal_slot.keys().cloned().collect();
-        v.sort();
-        v
+        ExecState::signals(&self.prog)
     }
 }
 

@@ -1,120 +1,71 @@
 //! The activity-driven simulator backend (ESSENT analog, §3.5).
 //!
-//! Reuses the compiled [`Program`] but skips work whose inputs did not
-//! change since the last evaluation — ESSENT's "exploit low activity
-//! factors" insight. Two engines share the [`EssentSim`] interface:
+//! Reuses the compiled [`crate::compile::Program`] and the compiled
+//! backend's `ExecState` (slots and memories), but skips work whose
+//! inputs did not change since the last evaluation — ESSENT's "exploit
+//! low activity factors" insight. The program is grouped into
+//! acyclic partitions ([`crate::partition`]) and a dirty-partition
+//! worklist gates execution at partition granularity; with
+//! `partition: false` every partition holds one instruction, which gives
+//! per-slot dirty tracking on the same engine. Cover sampling is
+//! *batched*: a cover's count is materialized lazily from
+//! `(active, since-cycle)` pairs and only recomputed when a partition
+//! that feeds it actually changed its watched slots — quiescent cycles
+//! never touch the cover list at all.
 //!
-//! * **Partitioned** (default): the program is grouped into acyclic
-//!   partitions ([`crate::partition`]) and a dirty-partition worklist
-//!   gates execution at partition granularity. Cover sampling is
-//!   *batched*: a cover's count is materialized lazily from
-//!   `(active, since-cycle)` pairs and only recomputed when a partition
-//!   that feeds it actually changed its watched slots — quiescent cycles
-//!   never touch the cover list at all.
-//! * **Per-instruction**: the seed implementation (per-slot dirty bits,
-//!   per-cycle cover scan), kept as the A/B baseline for
-//!   `bench_sim` and as an escape hatch (`RTLCOV_SIM_NO_PARTITION`).
-//!
-//! On quiescent designs the partitioned engine's step cost is O(number of
-//! registers) bookkeeping; on fully active designs it degrades to the
-//! compiled backend plus a partition sweep.
+//! On quiescent designs the step cost is O(number of registers)
+//! bookkeeping; on fully active designs it degrades to the compiled
+//! backend plus a partition sweep.
 
-use crate::compile::{compile, MicroOp, Program};
-use crate::compiled::exec_instr;
-use crate::elaborate::elaborate;
-use crate::opt::{optimize, OptOptions, OptStats};
+use crate::compiled::{build_program, ExecState};
+use crate::opt::OptStats;
 use crate::partition::{partition, PartitionedProgram, DEFAULT_MAX_PARTITION};
-use crate::{Fuel, SimError, Simulator};
+use crate::{Fuel, SimBuildOptions, SimError, Simulator};
 use rtlcov_core::CoverageMap;
 use rtlcov_firrtl::ir::Circuit;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Construction knobs for [`EssentSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EssentOptions {
-    /// Run the [`crate::opt`] pipeline on the program first.
-    pub optimize: bool,
-    /// Use the partitioned engine (otherwise the seed per-instruction one).
-    pub partition: bool,
-    /// Partition size cap (see [`DEFAULT_MAX_PARTITION`]).
-    pub max_partition: usize,
-}
-
-impl Default for EssentOptions {
-    fn default() -> Self {
-        EssentOptions {
-            optimize: true,
-            partition: true,
-            max_partition: DEFAULT_MAX_PARTITION,
-        }
-    }
-}
-
-impl EssentOptions {
-    /// Defaults, honoring the `RTLCOV_SIM_NO_OPT` and
-    /// `RTLCOV_SIM_NO_PARTITION` escape hatches.
-    pub fn from_env() -> Self {
-        EssentOptions {
-            optimize: std::env::var_os("RTLCOV_SIM_NO_OPT").is_none(),
-            partition: std::env::var_os("RTLCOV_SIM_NO_PARTITION").is_none(),
-            max_partition: DEFAULT_MAX_PARTITION,
-        }
-    }
-}
+/// Construction knobs for [`EssentSim`]: the campaign-wide
+/// [`SimBuildOptions`]. `partition: false` caps partitions at one
+/// instruction instead of [`DEFAULT_MAX_PARTITION`].
+pub type EssentOptions = SimBuildOptions;
 
 /// Activity-driven simulator.
 #[derive(Debug, Clone)]
 pub struct EssentSim {
     /// Interior-mutable so `peek(&self)` can settle combinational logic.
-    inner: RefCell<Engine>,
+    inner: RefCell<Partitioned>,
     fuel: Fuel,
     opt_stats: OptStats,
 }
 
-#[derive(Debug, Clone)]
-enum Engine {
-    PerInstr(Box<PerInstr>),
-    Partitioned(Box<Partitioned>),
-}
-
 impl EssentSim {
     /// Build an activity-driven simulator from a lowered circuit with the
-    /// default optimize+partition pipeline (honoring the env escape
-    /// hatches).
+    /// default optimize+partition pipeline (honoring
+    /// [`SimBuildOptions::from_env`]).
     ///
     /// # Errors
     ///
     /// Propagates elaboration and compilation failures.
     pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
-        Self::new_with(circuit, &EssentOptions::from_env())
+        Self::new_with(circuit, &SimBuildOptions::from_env())
     }
 
-    /// Build with explicit options (for A/B benchmarking the seed
-    /// per-instruction engine against the partitioned one).
+    /// Build with explicit options.
     ///
     /// # Errors
     ///
     /// Propagates elaboration and compilation failures.
     pub fn new_with(circuit: &Circuit, opts: &EssentOptions) -> Result<Self, SimError> {
-        let flat = elaborate(circuit).map_err(|e| SimError(e.0))?;
-        let prog = compile(&flat).map_err(|e| SimError(e.0))?;
-        let opt_opts = if opts.optimize {
-            OptOptions::default()
+        let (prog, opt_stats) = build_program(circuit, &opts.opt_options())?;
+        let max_part = if opts.partition {
+            DEFAULT_MAX_PARTITION
         } else {
-            OptOptions::none()
-        };
-        let (prog, opt_stats) = optimize(&prog, &opt_opts);
-        let engine = if opts.partition {
-            Engine::Partitioned(Box::new(Partitioned::new(partition(
-                prog,
-                opts.max_partition,
-            ))))
-        } else {
-            Engine::PerInstr(Box::new(PerInstr::new(prog)))
+            1
         };
         Ok(EssentSim {
-            inner: RefCell::new(engine),
+            inner: RefCell::new(Partitioned::new(partition(prog, max_part))),
             fuel: Fuel::unlimited(),
             opt_stats,
         })
@@ -128,35 +79,25 @@ impl EssentSim {
     /// Fraction of instruction evaluations actually executed (activity
     /// factor); 1.0 before the first step.
     pub fn activity_factor(&self) -> f64 {
-        match &*self.inner.borrow() {
-            Engine::PerInstr(e) => activity(e.executed_instrs, e.total_instr_opportunities),
-            Engine::Partitioned(e) => activity(e.executed_instrs, e.total_instr_opportunities),
-        }
+        let e = self.inner.borrow();
+        activity(e.executed_instrs, e.total_instr_opportunities)
     }
 
-    /// Fraction of partition evaluations actually executed; `None` on the
-    /// per-instruction engine, 1.0 before the first step.
+    /// Fraction of partition evaluations actually executed; 1.0 before the
+    /// first step. Always `Some`.
     pub fn partition_activity(&self) -> Option<f64> {
-        match &*self.inner.borrow() {
-            Engine::PerInstr(_) => None,
-            Engine::Partitioned(e) => Some(activity(e.parts_executed, e.part_opportunities)),
-        }
+        let e = self.inner.borrow();
+        Some(activity(e.parts_executed, e.part_opportunities))
     }
 
-    /// Number of partitions (`None` on the per-instruction engine).
-    pub fn partitions(&self) -> Option<usize> {
-        match &*self.inner.borrow() {
-            Engine::PerInstr(_) => None,
-            Engine::Partitioned(e) => Some(e.pp.parts.len()),
-        }
+    /// Number of partitions.
+    pub fn partitions(&self) -> usize {
+        self.inner.borrow().pp.parts.len()
     }
 
     /// Number of cycles executed.
     pub fn cycles(&self) -> u64 {
-        match &*self.inner.borrow() {
-            Engine::PerInstr(e) => e.cycles,
-            Engine::Partitioned(e) => e.cycles,
-        }
+        self.inner.borrow().cycles
     }
 }
 
@@ -168,157 +109,6 @@ fn activity(executed: u64, opportunities: u64) -> f64 {
     }
 }
 
-fn find_mem(prog: &Program, mem: &str) -> Result<usize, SimError> {
-    prog.mems
-        .iter()
-        .position(|m| m.name == mem)
-        .ok_or_else(|| SimError(format!("unknown memory `{mem}`")))
-}
-
-// ---------------------------------------------------------------------------
-// Per-instruction engine (the seed implementation, kept as A/B baseline)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct PerInstr {
-    prog: Program,
-    slots: Vec<u64>,
-    mems: Vec<Vec<u64>>,
-    dirty: Vec<bool>,
-    mem_dirty: Vec<bool>,
-    first_eval: bool,
-    cover_counts: Vec<u64>,
-    cover_values_counts: Vec<HashMap<u64, u64>>,
-    cycles: u64,
-    executed_instrs: u64,
-    total_instr_opportunities: u64,
-}
-
-impl PerInstr {
-    fn new(prog: Program) -> Self {
-        let slots = prog.init_slots.clone();
-        let mems: Vec<Vec<u64>> = prog.mems.iter().map(|m| vec![0u64; m.depth]).collect();
-        let dirty = vec![false; slots.len()];
-        let mem_dirty = vec![false; mems.len()];
-        let cover_counts = vec![0; prog.covers.len()];
-        let cover_values_counts = vec![HashMap::new(); prog.cover_values.len()];
-        PerInstr {
-            prog,
-            slots,
-            mems,
-            dirty,
-            mem_dirty,
-            first_eval: true,
-            cover_counts,
-            cover_values_counts,
-            cycles: 0,
-            executed_instrs: 0,
-            total_instr_opportunities: 0,
-        }
-    }
-
-    fn eval_comb(&mut self) {
-        let all = self.first_eval;
-        self.first_eval = false;
-        for instr in &self.prog.instrs {
-            self.total_instr_opportunities += 1;
-            let inputs_dirty = all
-                || self.dirty[instr.a as usize]
-                || self.dirty[instr.b as usize]
-                || self.dirty[instr.c as usize]
-                || (instr.op == MicroOp::MemRead && self.mem_dirty[instr.imm as usize]);
-            if !inputs_dirty {
-                continue;
-            }
-            self.executed_instrs += 1;
-            let before = self.slots[instr.dst as usize];
-            exec_instr(instr, &mut self.slots, &self.mems);
-            if self.slots[instr.dst as usize] != before || all {
-                self.dirty[instr.dst as usize] = true;
-            }
-        }
-    }
-
-    fn sample_covers(&mut self) {
-        for (i, cov) in self.prog.covers.iter().enumerate() {
-            if self.slots[cov.pred as usize] != 0 && self.slots[cov.enable as usize] != 0 {
-                self.cover_counts[i] = self.cover_counts[i].saturating_add(1);
-            }
-        }
-        for (i, cv) in self.prog.cover_values.iter().enumerate() {
-            if self.slots[cv.enable as usize] != 0 {
-                let v = self.slots[cv.signal as usize];
-                let entry = self.cover_values_counts[i].entry(v).or_insert(0);
-                *entry = entry.saturating_add(1);
-            }
-        }
-    }
-
-    fn commit(&mut self) {
-        // clear the per-cycle dirty flags, then re-dirty what state changed
-        for d in self.dirty.iter_mut() {
-            *d = false;
-        }
-        for d in self.mem_dirty.iter_mut() {
-            *d = false;
-        }
-        for m in 0..self.prog.mems.len() {
-            let mem = &self.prog.mems[m];
-            for w in &mem.writers {
-                if self.slots[w.en as usize] != 0 && self.slots[w.mask as usize] != 0 {
-                    let addr = self.slots[w.addr as usize] as usize;
-                    if addr < mem.depth {
-                        let data = self.slots[w.data as usize] & mem.mask;
-                        if self.mems[m][addr] != data {
-                            self.mems[m][addr] = data;
-                            self.mem_dirty[m] = true;
-                        }
-                    }
-                }
-            }
-        }
-        for r in &self.prog.regs {
-            let next = self.slots[r.next as usize];
-            if self.slots[r.value as usize] != next {
-                self.slots[r.value as usize] = next;
-                self.dirty[r.value as usize] = true;
-            }
-        }
-    }
-
-    fn poke(&mut self, signal: &str, value: u64) {
-        let slot = self.prog.signal_slot[signal] as usize;
-        let w = self.prog.slot_width[slot];
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        let v = value & mask;
-        if self.slots[slot] != v {
-            self.slots[slot] = v;
-            self.dirty[slot] = true;
-        }
-    }
-
-    fn step(&mut self) {
-        self.eval_comb();
-        self.sample_covers();
-        self.commit();
-        self.cycles += 1;
-    }
-
-    fn cover_counts(&self) -> CoverageMap {
-        let mut map = CoverageMap::new();
-        for (i, cov) in self.prog.covers.iter().enumerate() {
-            map.record(&cov.name, self.cover_counts[i]);
-            map.declare(&cov.name);
-        }
-        for (i, cv) in self.prog.cover_values.iter().enumerate() {
-            for (value, count) in &self.cover_values_counts[i] {
-                map.record(format!("{}[{value}]", cv.name), *count);
-            }
-        }
-        map
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Partitioned engine (dirty-partition worklist + batched cover sampling)
 // ---------------------------------------------------------------------------
@@ -326,11 +116,8 @@ impl PerInstr {
 #[derive(Debug, Clone)]
 struct Partitioned {
     pp: PartitionedProgram,
-    slots: Vec<u64>,
-    mems: Vec<Vec<u64>>,
-    part_dirty: Vec<bool>,
-    /// Fast path: nothing is dirty, skip the partition sweep entirely.
-    any_dirty: bool,
+    st: ExecState,
+    dirty: Dirty,
     /// Escape-value snapshot buffer (reused across partitions).
     scratch: Vec<u64>,
     // Batched cover state: count covers cycles `< since`; `active` is the
@@ -339,16 +126,12 @@ struct Partitioned {
     cov_active: Vec<bool>,
     cov_since: Vec<u64>,
     cov_count: Vec<u64>,
-    cov_stale: Vec<bool>,
-    cov_stale_list: Vec<u32>,
     // Same scheme for cover_values: `cv_val` is the sampled value for
     // cycles `since..now` while `cv_en` gates it.
     cv_en: Vec<bool>,
     cv_val: Vec<u64>,
     cv_since: Vec<u64>,
     cv_counts: Vec<HashMap<u64, u64>>,
-    cv_stale: Vec<bool>,
-    cv_stale_list: Vec<u32>,
     cycles: u64,
     executed_instrs: u64,
     total_instr_opportunities: u64,
@@ -356,30 +139,75 @@ struct Partitioned {
     part_opportunities: u64,
 }
 
+/// What must be re-evaluated: dirty partitions and stale covers.
+#[derive(Debug, Clone)]
+struct Dirty {
+    part: Vec<bool>,
+    /// Fast path: nothing is dirty, skip the partition sweep entirely.
+    any: bool,
+    cov_stale: Vec<bool>,
+    cov_stale_list: Vec<u32>,
+    cv_stale: Vec<bool>,
+    cv_stale_list: Vec<u32>,
+}
+
+impl Dirty {
+    /// Mark everything observing `slot` after its value changed: consumer
+    /// partitions other than `skip` become dirty, watching covers become
+    /// stale.
+    fn touch(&mut self, pp: &PartitionedProgram, slot: usize, skip: usize) {
+        for &q in &pp.consumers[slot] {
+            if q as usize != skip {
+                self.part[q as usize] = true;
+                self.any = true;
+            }
+        }
+        for &ci in &pp.cover_watch[slot] {
+            if !self.cov_stale[ci as usize] {
+                self.cov_stale[ci as usize] = true;
+                self.cov_stale_list.push(ci);
+            }
+        }
+        for &ci in &pp.cv_watch[slot] {
+            if !self.cv_stale[ci as usize] {
+                self.cv_stale[ci as usize] = true;
+                self.cv_stale_list.push(ci);
+            }
+        }
+    }
+
+    /// Dirty every partition that reads memory `m`.
+    fn mem_changed(&mut self, pp: &PartitionedProgram, m: usize) {
+        for &q in &pp.mem_readers[m] {
+            self.part[q as usize] = true;
+            self.any = true;
+        }
+    }
+}
+
 impl Partitioned {
     fn new(pp: PartitionedProgram) -> Self {
-        let slots = pp.prog.init_slots.clone();
-        let mems: Vec<Vec<u64>> = pp.prog.mems.iter().map(|m| vec![0u64; m.depth]).collect();
         let nparts = pp.parts.len();
         let ncov = pp.prog.covers.len();
         let ncv = pp.prog.cover_values.len();
         Partitioned {
-            slots,
-            mems,
-            part_dirty: vec![true; nparts],
-            any_dirty: true,
+            st: ExecState::new(&pp.prog),
+            dirty: Dirty {
+                part: vec![true; nparts],
+                any: true,
+                cov_stale: vec![true; ncov],
+                cov_stale_list: (0..ncov as u32).collect(),
+                cv_stale: vec![true; ncv],
+                cv_stale_list: (0..ncv as u32).collect(),
+            },
             scratch: Vec::new(),
             cov_active: vec![false; ncov],
             cov_since: vec![0; ncov],
             cov_count: vec![0; ncov],
-            cov_stale: vec![true; ncov],
-            cov_stale_list: (0..ncov as u32).collect(),
             cv_en: vec![false; ncv],
             cv_val: vec![0; ncv],
             cv_since: vec![0; ncv],
             cv_counts: vec![HashMap::new(); ncv],
-            cv_stale: vec![true; ncv],
-            cv_stale_list: (0..ncv as u32).collect(),
             cycles: 0,
             executed_instrs: 0,
             total_instr_opportunities: 0,
@@ -389,79 +217,34 @@ impl Partitioned {
         }
     }
 
-    /// Mark everything observing `slot` after its value changed: consumer
-    /// partitions become dirty, watching covers become stale.
-    fn touch_slot(&mut self, slot: usize) {
-        for &q in &self.pp.consumers[slot] {
-            self.part_dirty[q as usize] = true;
-            self.any_dirty = true;
-        }
-        for &ci in &self.pp.cover_watch[slot] {
-            if !self.cov_stale[ci as usize] {
-                self.cov_stale[ci as usize] = true;
-                self.cov_stale_list.push(ci);
-            }
-        }
-        for &ci in &self.pp.cv_watch[slot] {
-            if !self.cv_stale[ci as usize] {
-                self.cv_stale[ci as usize] = true;
-                self.cv_stale_list.push(ci);
-            }
-        }
-    }
-
     /// Execute dirty partitions in ascending order (a valid topological
     /// order — see [`crate::partition`]), propagating dirtiness through
     /// changed escape slots only.
     fn settle(&mut self) {
-        if !self.any_dirty {
+        if !self.dirty.any {
             return;
         }
-        for p in 0..self.pp.parts.len() {
-            if !self.part_dirty[p] {
+        for (p, part) in self.pp.parts.iter().enumerate() {
+            if !self.dirty.part[p] {
                 continue;
             }
-            self.part_dirty[p] = false;
-            let part = &self.pp.parts[p];
+            self.dirty.part[p] = false;
             let (start, end) = (part.start as usize, part.end as usize);
             self.scratch.clear();
-            for &s in &part.escapes {
-                self.scratch.push(self.slots[s as usize]);
-            }
-            for instr in &self.pp.prog.instrs[start..end] {
-                exec_instr(instr, &mut self.slots, &self.mems);
-            }
+            self.scratch
+                .extend(part.escapes.iter().map(|&s| self.st.slots[s as usize]));
+            self.st.exec(&self.pp.prog.instrs[start..end]);
             self.executed_instrs += (end - start) as u64;
             self.parts_executed += 1;
-            for k in 0..self.pp.parts[p].escapes.len() {
-                let s = self.pp.parts[p].escapes[k] as usize;
-                if self.slots[s] != self.scratch[k] {
+            for (&s, &before) in part.escapes.iter().zip(&self.scratch) {
+                if self.st.slots[s as usize] != before {
                     // cross-partition deps always flow to later partitions,
                     // so marking here is seen by this same sweep
-                    for ci in 0..self.pp.consumers[s].len() {
-                        let q = self.pp.consumers[s][ci] as usize;
-                        if q != p {
-                            self.part_dirty[q] = true;
-                        }
-                    }
-                    for ci in 0..self.pp.cover_watch[s].len() {
-                        let c = self.pp.cover_watch[s][ci];
-                        if !self.cov_stale[c as usize] {
-                            self.cov_stale[c as usize] = true;
-                            self.cov_stale_list.push(c);
-                        }
-                    }
-                    for ci in 0..self.pp.cv_watch[s].len() {
-                        let c = self.pp.cv_watch[s][ci];
-                        if !self.cv_stale[c as usize] {
-                            self.cv_stale[c as usize] = true;
-                            self.cv_stale_list.push(c);
-                        }
-                    }
+                    self.dirty.touch(&self.pp, s as usize, p);
                 }
             }
         }
-        self.any_dirty = false;
+        self.dirty.any = false;
     }
 
     /// Flush stale covers: close the `[since, now)` interval under the old
@@ -469,20 +252,20 @@ impl Partitioned {
     /// nothing per cycle.
     fn sample_covers(&mut self) {
         let t = self.cycles;
-        while let Some(ci) = self.cov_stale_list.pop() {
+        let slots = &self.st.slots;
+        while let Some(ci) = self.dirty.cov_stale_list.pop() {
             let i = ci as usize;
-            self.cov_stale[i] = false;
+            self.dirty.cov_stale[i] = false;
             if self.cov_active[i] {
                 self.cov_count[i] = self.cov_count[i].saturating_add(t - self.cov_since[i]);
             }
             let cov = &self.pp.prog.covers[i];
-            self.cov_active[i] =
-                self.slots[cov.pred as usize] != 0 && self.slots[cov.enable as usize] != 0;
+            self.cov_active[i] = slots[cov.pred as usize] != 0 && slots[cov.enable as usize] != 0;
             self.cov_since[i] = t;
         }
-        while let Some(ci) = self.cv_stale_list.pop() {
+        while let Some(ci) = self.dirty.cv_stale_list.pop() {
             let i = ci as usize;
-            self.cv_stale[i] = false;
+            self.dirty.cv_stale[i] = false;
             if self.cv_en[i] {
                 let delta = t - self.cv_since[i];
                 if delta > 0 {
@@ -491,54 +274,17 @@ impl Partitioned {
                 }
             }
             let cv = &self.pp.prog.cover_values[i];
-            self.cv_en[i] = self.slots[cv.enable as usize] != 0;
-            self.cv_val[i] = self.slots[cv.signal as usize];
+            self.cv_en[i] = slots[cv.enable as usize] != 0;
+            self.cv_val[i] = slots[cv.signal as usize];
             self.cv_since[i] = t;
         }
     }
 
     fn commit(&mut self) {
-        // memory writes use pre-edge values
-        for m in 0..self.pp.prog.mems.len() {
-            let mem = &self.pp.prog.mems[m];
-            for w in &mem.writers {
-                if self.slots[w.en as usize] != 0 && self.slots[w.mask as usize] != 0 {
-                    let addr = self.slots[w.addr as usize] as usize;
-                    if addr < mem.depth {
-                        let data = self.slots[w.data as usize] & mem.mask;
-                        if self.mems[m][addr] != data {
-                            self.mems[m][addr] = data;
-                            for &q in &self.pp.mem_readers[m] {
-                                self.part_dirty[q as usize] = true;
-                                self.any_dirty = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for r in 0..self.pp.prog.regs.len() {
-            let (value, next) = (
-                self.pp.prog.regs[r].value as usize,
-                self.pp.prog.regs[r].next as usize,
-            );
-            let nv = self.slots[next];
-            if self.slots[value] != nv {
-                self.slots[value] = nv;
-                self.touch_slot(value);
-            }
-        }
-    }
-
-    fn poke(&mut self, signal: &str, value: u64) {
-        let slot = self.pp.prog.signal_slot[signal] as usize;
-        let w = self.pp.prog.slot_width[slot];
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        let v = value & mask;
-        if self.slots[slot] != v {
-            self.slots[slot] = v;
-            self.touch_slot(slot);
-        }
+        let (pp, dirty) = (&self.pp, &mut self.dirty);
+        self.st.commit_mems(&pp.prog, |m| dirty.mem_changed(pp, m));
+        self.st
+            .commit_regs(&pp.prog, |slot| dirty.touch(pp, slot, usize::MAX));
     }
 
     fn step(&mut self) {
@@ -553,65 +299,41 @@ impl Partitioned {
     /// Materialize counts: flushed intervals plus the still-open one.
     fn cover_counts(&self) -> CoverageMap {
         let t = self.cycles;
-        let mut map = CoverageMap::new();
-        for (i, cov) in self.pp.prog.covers.iter().enumerate() {
-            let mut c = self.cov_count[i];
-            if self.cov_active[i] {
-                c = c.saturating_add(t - self.cov_since[i]);
-            }
-            map.record(&cov.name, c);
-            map.declare(&cov.name);
-        }
+        let open = |active: bool, since: u64| if active { t - since } else { 0 };
+        let mut map = ExecState::cover_map(
+            &self.pp.prog,
+            |i| self.cov_count[i].saturating_add(open(self.cov_active[i], self.cov_since[i])),
+            &self.cv_counts,
+        );
         for (i, cv) in self.pp.prog.cover_values.iter().enumerate() {
-            for (value, count) in &self.cv_counts[i] {
-                map.record(format!("{}[{value}]", cv.name), *count);
-            }
-            if self.cv_en[i] && t > self.cv_since[i] {
+            let n = open(self.cv_en[i], self.cv_since[i]);
+            if n > 0 {
                 // record() saturating-adds, so the open interval stacks on
                 // top of whatever the flushed map already holds for cv_val
-                map.record(
-                    format!("{}[{}]", cv.name, self.cv_val[i]),
-                    t - self.cv_since[i],
-                );
+                map.record(format!("{}[{}]", cv.name, self.cv_val[i]), n);
             }
         }
         map
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared Simulator impl
-// ---------------------------------------------------------------------------
-
 impl Simulator for EssentSim {
     fn poke(&mut self, signal: &str, value: u64) {
-        match self.inner.get_mut() {
-            Engine::PerInstr(e) => e.poke(signal, value),
-            Engine::Partitioned(e) => e.poke(signal, value),
+        let e = self.inner.get_mut();
+        if let Some(slot) = e.st.poke(&e.pp.prog, signal, value) {
+            e.dirty.touch(&e.pp, slot, usize::MAX);
         }
     }
 
     fn peek(&self, signal: &str) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        match &mut *inner {
-            Engine::PerInstr(e) => {
-                e.eval_comb();
-                e.slots[e.prog.signal_slot[signal] as usize]
-            }
-            Engine::Partitioned(e) => {
-                e.settle();
-                e.slots[e.pp.prog.signal_slot[signal] as usize]
-            }
-        }
+        let mut e = self.inner.borrow_mut();
+        e.settle();
+        e.st.peek(&e.pp.prog, signal)
     }
 
     fn step(&mut self) {
-        if !self.fuel.consume() {
-            return;
-        }
-        match self.inner.get_mut() {
-            Engine::PerInstr(e) => e.step(),
-            Engine::Partitioned(e) => e.step(),
+        if self.fuel.consume() {
+            self.inner.get_mut().step();
         }
     }
 
@@ -624,76 +346,68 @@ impl Simulator for EssentSim {
     }
 
     fn cover_counts(&self) -> CoverageMap {
-        match &*self.inner.borrow() {
-            Engine::PerInstr(e) => e.cover_counts(),
-            Engine::Partitioned(e) => e.cover_counts(),
-        }
+        self.inner.borrow().cover_counts()
     }
 
     fn write_mem(&mut self, mem: &str, addr: u64, value: u64) -> Result<(), SimError> {
-        match self.inner.get_mut() {
-            Engine::PerInstr(e) => {
-                let idx = find_mem(&e.prog, mem)?;
-                if addr as usize >= e.prog.mems[idx].depth {
-                    return Err(SimError(format!("address {addr} out of range for `{mem}`")));
-                }
-                e.mems[idx][addr as usize] = value & e.prog.mems[idx].mask;
-                e.mem_dirty[idx] = true;
-                Ok(())
-            }
-            Engine::Partitioned(e) => {
-                let idx = find_mem(&e.pp.prog, mem)?;
-                if addr as usize >= e.pp.prog.mems[idx].depth {
-                    return Err(SimError(format!("address {addr} out of range for `{mem}`")));
-                }
-                e.mems[idx][addr as usize] = value & e.pp.prog.mems[idx].mask;
-                for qi in 0..e.pp.mem_readers[idx].len() {
-                    let q = e.pp.mem_readers[idx][qi] as usize;
-                    e.part_dirty[q] = true;
-                    e.any_dirty = true;
-                }
-                Ok(())
-            }
-        }
+        let e = self.inner.get_mut();
+        let m = e.st.write_mem(&e.pp.prog, mem, addr, value)?;
+        e.dirty.mem_changed(&e.pp, m);
+        Ok(())
     }
 
     fn read_mem(&self, mem: &str, addr: u64) -> Result<u64, SimError> {
-        let inner = self.inner.borrow();
-        let (prog, mems) = match &*inner {
-            Engine::PerInstr(e) => (&e.prog, &e.mems),
-            Engine::Partitioned(e) => (&e.pp.prog, &e.mems),
-        };
-        let idx = find_mem(prog, mem)?;
-        mems[idx]
-            .get(addr as usize)
-            .copied()
-            .ok_or_else(|| SimError(format!("address {addr} out of range for `{mem}`")))
+        let e = self.inner.borrow();
+        e.st.read_mem(&e.pp.prog, mem, addr)
     }
 
     fn signals(&self) -> Vec<String> {
-        let inner = self.inner.borrow();
-        let prog = match &*inner {
-            Engine::PerInstr(e) => &e.prog,
-            Engine::Partitioned(e) => &e.pp.prog,
-        };
-        let mut v: Vec<String> = prog.signal_slot.keys().cloned().collect();
-        v.sort();
-        v
+        ExecState::signals(&self.inner.borrow().pp.prog)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledSim;
+    use crate::opt::OptOptions;
     use rtlcov_firrtl::parser::parse;
     use rtlcov_firrtl::passes;
 
-    fn sim(src: &str) -> EssentSim {
-        EssentSim::new(&passes::lower(parse(src).unwrap()).unwrap()).unwrap()
+    fn lower(src: &str) -> Circuit {
+        passes::lower(parse(src).unwrap()).unwrap()
     }
 
-    fn sim_with(src: &str, opts: &EssentOptions) -> EssentSim {
-        EssentSim::new_with(&passes::lower(parse(src).unwrap()).unwrap(), opts).unwrap()
+    fn sim(src: &str) -> EssentSim {
+        EssentSim::new(&lower(src)).unwrap()
+    }
+
+    /// Drive the default engine, the per-cycle-scan reference (compiled,
+    /// optimizer off) and one-instruction partitions with the same script;
+    /// all three must agree on every signal and on the cover map, which is
+    /// returned.
+    fn agree(src: &str, script: impl Fn(&mut dyn Simulator)) -> CoverageMap {
+        let c = lower(src);
+        let one = EssentOptions {
+            optimize: false,
+            partition: false,
+        };
+        let mut sims: [Box<dyn Simulator>; 3] = [
+            Box::new(EssentSim::new_with(&c, &EssentOptions::default()).unwrap()),
+            Box::new(CompiledSim::new_with(&c, &OptOptions::none()).unwrap()),
+            Box::new(EssentSim::new_with(&c, &one).unwrap()),
+        ];
+        for s in &mut sims {
+            script(&mut **s);
+        }
+        let want = sims[1].cover_counts();
+        for s in &sims {
+            for sig in sims[1].signals() {
+                assert_eq!(s.peek(&sig), sims[1].peek(&sig), "`{sig}`");
+            }
+            assert_eq!(s.cover_counts(), want);
+        }
+        want
     }
 
     const COUNTER: &str = "
@@ -750,22 +464,13 @@ circuit T :
 
     #[test]
     fn engines_agree_on_counter() {
-        let per = EssentOptions {
-            optimize: false,
-            partition: false,
-            ..EssentOptions::default()
-        };
-        let mut a = sim(COUNTER);
-        let mut b = sim_with(COUNTER, &per);
-        for s in [&mut a as &mut dyn Simulator, &mut b] {
+        agree(COUNTER, |s| {
             s.reset(2);
             s.poke("en", 1);
             s.step_n(7);
             s.poke("en", 0);
             s.step_n(3);
-        }
-        assert_eq!(a.peek("o"), b.peek("o"));
-        assert_eq!(a.cover_counts(), b.cover_counts());
+        });
     }
 
     #[test]
@@ -778,13 +483,6 @@ circuit T :
     input en : UInt<1>
     cover(clock, a, en) : hit
 ";
-        let per = EssentOptions {
-            optimize: false,
-            partition: false,
-            ..EssentOptions::default()
-        };
-        let mut p = sim(SRC);
-        let mut b = sim_with(SRC, &per);
         let script = [
             (1u64, 1u64, 3usize),
             (0, 1, 2),
@@ -793,15 +491,14 @@ circuit T :
             (0, 0, 5),
             (1, 1, 2),
         ];
-        for s in [&mut p as &mut dyn Simulator, &mut b] {
+        let map = agree(SRC, |s| {
             for (a, en, n) in script {
                 s.poke("a", a);
                 s.poke("en", en);
                 s.step_n(n);
             }
-        }
-        assert_eq!(p.cover_counts(), b.cover_counts());
-        assert_eq!(p.cover_counts().count("hit"), Some(6));
+        });
+        assert_eq!(map.count("hit"), Some(6));
     }
 
     #[test]
@@ -810,9 +507,9 @@ circuit T :
         s.reset(1);
         s.poke("en", 0);
         s.step_n(50);
-        let pa = s.partition_activity().expect("partitioned engine");
+        let pa = s.partition_activity().expect("always reported");
         assert!(pa < 0.5, "partition activity {pa}");
-        assert!(s.partitions().unwrap() >= 1);
+        assert!(s.partitions() >= 1);
     }
 
     #[test]
@@ -830,14 +527,7 @@ circuit T :
     o <= r
     cover_values(clock, r, en) : vals
 ";
-        let per = EssentOptions {
-            optimize: false,
-            partition: false,
-            ..EssentOptions::default()
-        };
-        let mut p = sim(SRC);
-        let mut b = sim_with(SRC, &per);
-        for s in [&mut p as &mut dyn Simulator, &mut b] {
+        agree(SRC, |s| {
             s.reset(1);
             s.poke("en", 1);
             s.step_n(3);
@@ -845,7 +535,44 @@ circuit T :
             s.step_n(9);
             s.poke("en", 1);
             s.step_n(2);
-        }
-        assert_eq!(p.cover_counts(), b.cover_counts());
+        });
+    }
+
+    #[test]
+    fn partition_sizes_agree_on_memory_and_backdoor_writes() {
+        const SRC: &str = "
+circuit T :
+  module T :
+    input clock : Clock
+    input addr : UInt<4>
+    input wdata : UInt<8>
+    input wen : UInt<1>
+    output o : UInt<8>
+    mem m : UInt<8>[16], readers(r), writers(w)
+    m.r.addr <= addr
+    m.r.en <= UInt<1>(1)
+    m.w.addr <= addr
+    m.w.en <= wen
+    m.w.data <= wdata
+    m.w.mask <= UInt<1>(1)
+    o <= m.r.data
+    cover(clock, eq(m.r.data, UInt<8>(7)), UInt<1>(1)) : seven
+";
+        let map = agree(SRC, |s| {
+            s.poke("addr", 3);
+            s.poke("wdata", 42);
+            s.poke("wen", 1);
+            s.step_n(2);
+            s.poke("wen", 0);
+            assert_eq!(s.peek("o"), 42);
+            // no input changes: only the backdoor write can re-dirty the
+            // reader's partition
+            s.write_mem("m", 3, 7).unwrap();
+            assert_eq!(s.peek("o"), 7);
+            s.step_n(4);
+            assert_eq!(s.read_mem("m", 3).unwrap(), 7);
+            assert!(s.write_mem("m", 16, 1).is_err());
+        });
+        assert_eq!(map.count("seven"), Some(4));
     }
 }

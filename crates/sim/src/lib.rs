@@ -195,7 +195,8 @@ impl SimKind {
     }
 
     /// Build this backend for a lowered circuit with default options
-    /// (optimizer and partitioning on, honoring the env escape hatches).
+    /// (optimizer and partitioning on), honoring
+    /// [`SimBuildOptions::from_env`].
     ///
     /// # Errors
     ///
@@ -219,22 +220,11 @@ impl SimKind {
     ) -> Result<Box<dyn Simulator>, SimError> {
         Ok(match self {
             SimKind::Interp => Box::new(interp::InterpSim::new(circuit)?),
-            SimKind::Compiled => {
-                let o = if opts.optimize {
-                    opt::OptOptions::default()
-                } else {
-                    opt::OptOptions::none()
-                };
-                Box::new(compiled::CompiledSim::new_with(circuit, &o)?)
-            }
-            SimKind::Essent => {
-                let o = essent::EssentOptions {
-                    optimize: opts.optimize,
-                    partition: opts.partition,
-                    ..essent::EssentOptions::default()
-                };
-                Box::new(essent::EssentSim::new_with(circuit, &o)?)
-            }
+            SimKind::Compiled => Box::new(compiled::CompiledSim::new_with(
+                circuit,
+                &opts.opt_options(),
+            )?),
+            SimKind::Essent => Box::new(essent::EssentSim::new_with(circuit, opts)?),
         })
     }
 }
@@ -245,7 +235,9 @@ impl SimKind {
 pub struct SimBuildOptions {
     /// Run the micro-op program optimizer (compiled and essent backends).
     pub optimize: bool,
-    /// Use partitioned activity scheduling (essent backend).
+    /// Partitions of up to [`partition::DEFAULT_MAX_PARTITION`]
+    /// instructions; `false` gives one-instruction partitions (essent
+    /// backend).
     pub partition: bool,
 }
 
@@ -259,11 +251,22 @@ impl Default for SimBuildOptions {
 }
 
 impl SimBuildOptions {
-    /// Defaults, honoring `RTLCOV_SIM_NO_OPT` / `RTLCOV_SIM_NO_PARTITION`.
+    /// Defaults, honoring the `RTLCOV_SIM_NO_OPT` escape hatch (set to any
+    /// value to turn the optimizer off). The only reader of the
+    /// environment in the simulator pipeline.
     pub fn from_env() -> Self {
         SimBuildOptions {
             optimize: std::env::var_os("RTLCOV_SIM_NO_OPT").is_none(),
-            partition: std::env::var_os("RTLCOV_SIM_NO_PARTITION").is_none(),
+            ..SimBuildOptions::default()
+        }
+    }
+
+    /// The optimizer passes `optimize` selects: all of them or none.
+    pub fn opt_options(&self) -> opt::OptOptions {
+        if self.optimize {
+            opt::OptOptions::default()
+        } else {
+            opt::OptOptions::none()
         }
     }
 }

@@ -42,8 +42,8 @@ pub enum Observability {
 }
 
 /// Optimizer knobs. [`OptOptions::default`] enables every pass;
-/// [`OptOptions::none`] is the A/B escape hatch that reproduces the seed
-/// per-instruction program bit for bit.
+/// [`OptOptions::none`] is the A/B escape hatch that returns the compiled
+/// program unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptOptions {
     /// Constant-fold instructions whose operands are all constants.
@@ -84,16 +84,6 @@ impl OptOptions {
             dce: false,
             compact: false,
             observe: Observability::AllSignals,
-        }
-    }
-
-    /// Default options honoring the `RTLCOV_SIM_NO_OPT` environment escape
-    /// hatch (set to any value to disable optimization globally).
-    pub fn from_env() -> Self {
-        if std::env::var_os("RTLCOV_SIM_NO_OPT").is_some() {
-            Self::none()
-        } else {
-            Self::default()
         }
     }
 

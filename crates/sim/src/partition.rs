@@ -15,9 +15,9 @@
 //!
 //! Each partition records its *escape slots*: destinations read by later
 //! partitions or watched by a cover. After executing a partition, only
-//! escapes whose value changed propagate dirtiness — the direct analog of
-//! the seed backend's per-slot change check, hoisted to partition
-//! granularity.
+//! escapes whose value changed propagate dirtiness: a per-slot change
+//! check hoisted to partition granularity. A cap of one instruction per
+//! partition turns it back into per-slot dirty tracking.
 
 use crate::compile::{Instr, MicroOp, Program};
 
