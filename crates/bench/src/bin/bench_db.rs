@@ -1,4 +1,4 @@
-//! Coverage-database benchmark: ingest throughput, cold vs memoized
+//! Coverage-database benchmark: ingest throughput, cold vs warm
 //! merge-query latency, and interning space savings.
 //!
 //! Builds a synthetic campaign — `RUNS` runs of `POINTS_PER_RUN` cover
@@ -8,9 +8,10 @@
 //!
 //! 1. **ingest** — runs/s and points/s through the full crash-safe
 //!    commit path (intern append, segment write, manifest rename);
-//! 2. **query** — the same full-merge query cold (empty memo), repeated
-//!    (root cache hit), and after one incremental ingest (only the
-//!    `O(log n)` right spine re-merges);
+//! 2. **query** — the same full-merge query cold (a fresh handle reads
+//!    and verifies every segment), warm (every segment's entries already
+//!    cached), and after one incremental ingest (which caches the new
+//!    segment's entries), with the segment-cache hits and disk loads;
 //! 3. **interning** — bytes of name text stored once in the name table
 //!    versus once per run without interning.
 //!
@@ -98,9 +99,9 @@ fn main() {
     let cold = db.merged(&everything).expect("cold query");
     let cold_us = micros(start);
     let start = Instant::now();
-    let warm = db.merged(&everything).expect("memoized query");
-    let memoized_us = micros(start);
-    assert_eq!(cold, warm, "memoization must not change the result");
+    let warm = db.merged(&everything).expect("warm query");
+    let warm_us = micros(start);
+    assert_eq!(cold, warm, "the segment cache must not change the result");
 
     let mut db = db;
     db.ingest(&key(RUNS), &run_map(RUNS))
@@ -116,7 +117,7 @@ fn main() {
         .map(|m| m.iter().map(|(n, _)| n.len() as u64).sum::<u64>())
         .sum();
     let stored_bytes = db.interned_name_bytes();
-    let (hits, misses) = db.memo_stats();
+    let (cache_hits, segment_loads) = db.memo_stats();
 
     let report = obj(vec![
         ("version", Json::UInt(1)),
@@ -143,14 +144,14 @@ fn main() {
             "query",
             obj(vec![
                 ("cold_us", Json::UInt(cold_us)),
-                ("memoized_us", Json::UInt(memoized_us)),
+                ("warm_us", Json::UInt(warm_us)),
                 ("incremental_us", Json::UInt(incremental_us)),
                 (
-                    "memoized_speedup_permille",
-                    Json::UInt(cold_us.saturating_mul(1000) / memoized_us.max(1)),
+                    "warm_speedup_permille",
+                    Json::UInt(cold_us.saturating_mul(1000) / warm_us.max(1)),
                 ),
-                ("memo_hits", Json::UInt(hits)),
-                ("memo_misses", Json::UInt(misses)),
+                ("segment_cache_hits", Json::UInt(cache_hits)),
+                ("segment_loads", Json::UInt(segment_loads)),
             ]),
         ),
         (
@@ -180,7 +181,7 @@ fn main() {
         per_second(total_points, ingest_us)
     );
     println!(
-        "query over {RUNS} runs: cold {cold_us} us, memoized {memoized_us} us, \
+        "query over {RUNS} runs: cold {cold_us} us, warm {warm_us} us, \
          incremental (+1 run) {incremental_us} us"
     );
     println!(

@@ -186,12 +186,22 @@ impl CoverageMap {
 }
 
 impl FromIterator<(String, u64)> for CoverageMap {
+    /// Builds the map in bulk: sorts the pairs by name (a no-op pass for
+    /// name-sorted input) and saturating-adds repeated names, so the
+    /// result equals `record`ing every pair in turn.
     fn from_iter<I: IntoIterator<Item = (String, u64)>>(iter: I) -> Self {
-        let mut m = CoverageMap::new();
-        for (n, c) in iter {
-            m.record(n, c);
+        let mut pairs: Vec<(String, u64)> = iter.into_iter().collect();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(next.1);
+            }
+            same
+        });
+        CoverageMap {
+            counts: pairs.into_iter().collect(),
         }
-        m
     }
 }
 
@@ -312,6 +322,27 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn collect_sums_repeated_names_saturating() {
+        let pairs = [
+            ("b", 2),
+            ("a", 1),
+            ("b", 3),
+            ("c", u64::MAX),
+            ("a", 0),
+            ("c", 1),
+        ];
+        let collected: CoverageMap = pairs.iter().map(|&(n, c)| (n.to_string(), c)).collect();
+        let mut recorded = CoverageMap::new();
+        for (n, c) in pairs {
+            recorded.record(n, c);
+        }
+        assert_eq!(collected, recorded);
+        assert_eq!(collected.count("a"), Some(1));
+        assert_eq!(collected.count("b"), Some(5));
+        assert_eq!(collected.count("c"), Some(u64::MAX));
     }
 
     #[test]

@@ -24,8 +24,9 @@
 
 use crate::query::Selector;
 use crate::store::{CoverageDb, DbError};
-use rtlcov_core::json::Json;
+use rtlcov_core::json::{self, Json};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
@@ -107,6 +108,34 @@ fn obj(entries: Vec<(&str, Json)>) -> Json {
     )
 }
 
+/// The `/v1/query` body, written straight from the name-sorted merged
+/// rows: byte for byte what a `Json::Object` with sorted keys prints.
+fn query_body(ids: &[u64], rows: &[(&str, u64)]) -> String {
+    let mut out = String::with_capacity(64 + 8 * ids.len() + 48 * rows.len());
+    out.push_str("{\"counts\":{");
+    for (i, &(name, count)) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_escaped(&mut out, name);
+        let _ = write!(out, ":{count}");
+    }
+    let covered = rows.iter().filter(|&&(_, c)| c > 0).count();
+    let _ = write!(
+        out,
+        "}},\"covered\":{covered},\"points\":{},\"selected\":[",
+        rows.len()
+    );
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{id}");
+    }
+    out.push_str("]}");
+    out
+}
+
 fn error_body(message: &str) -> String {
     obj(vec![("error", Json::Str(message.to_string()))]).to_string()
 }
@@ -165,27 +194,8 @@ pub fn respond(db: &CoverageDb, method: &str, path: &str, query: &str) -> (u16, 
                 Err(e) => return (400, error_body(&e)),
             };
             let ids = db.select(&sel);
-            match db.merged_ids(&ids) {
-                Ok(map) => {
-                    let counts = Json::Object(
-                        map.iter()
-                            .map(|(n, c)| (n.to_string(), Json::UInt(c)))
-                            .collect::<BTreeMap<_, _>>(),
-                    );
-                    (
-                        200,
-                        obj(vec![
-                            (
-                                "selected",
-                                Json::Array(ids.iter().map(|&i| Json::UInt(i)).collect()),
-                            ),
-                            ("points", Json::UInt(map.len() as u64)),
-                            ("covered", Json::UInt(map.covered() as u64)),
-                            ("counts", counts),
-                        ])
-                        .to_string(),
-                    )
-                }
+            match db.merged_rows(&ids) {
+                Ok(rows) => (200, query_body(&ids, &rows)),
                 Err(e) => db_error(&e),
             }
         }
@@ -463,6 +473,60 @@ mod tests {
         let (status, body) = respond(&db, "GET", "/v1/diff", "a.workload=s0&b.workload=s9");
         assert_eq!(status, 200);
         assert!(body.contains("\"b\":null"), "{body}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The `/v1/query` body as the `Json` tree `query_body` replaced,
+    /// kept as the byte-for-byte oracle.
+    fn tree_query_body(ids: &[u64], map: &CoverageMap) -> String {
+        let counts = Json::Object(
+            map.iter()
+                .map(|(n, c)| (n.to_string(), Json::UInt(c)))
+                .collect::<BTreeMap<_, _>>(),
+        );
+        obj(vec![
+            (
+                "selected",
+                Json::Array(ids.iter().map(|&i| Json::UInt(i)).collect()),
+            ),
+            ("points", Json::UInt(map.len() as u64)),
+            ("covered", Json::UInt(map.covered() as u64)),
+            ("counts", counts),
+        ])
+        .to_string()
+    }
+
+    #[test]
+    fn query_body_matches_the_json_tree_byte_for_byte() {
+        let dir = tmp("query-golden");
+        let mut db = CoverageDb::open(&dir).unwrap();
+        let names = [
+            "top.\"quoted\"",
+            "top.back\\slash",
+            "top.caf\u{e9}",
+            "top.ctl\u{1}\t\n\r\u{1f}",
+            "\u{1d11e}.clef",
+            "plain",
+        ];
+        for (run, backend) in ["interp", "fpga"].into_iter().enumerate() {
+            let mut m = CoverageMap::new();
+            for (i, name) in names.iter().enumerate() {
+                m.record(*name, if (i + run) % 3 == 0 { 0 } else { u64::MAX - 1 });
+            }
+            let key = RunKey {
+                design: "gcd".into(),
+                workload: format!("s{run}"),
+                backend: backend.into(),
+                label: "t".into(),
+            };
+            db.ingest(&key, &m).unwrap();
+        }
+        for query in ["", "backend=fpga", "design=none"] {
+            let sel = selector_from(&parse_query(query), "").unwrap();
+            let ids = db.select(&sel);
+            let expect = tree_query_body(&ids, &db.merged_ids(&ids).unwrap());
+            assert_eq!(respond(&db, "GET", "/v1/query", query), (200, expect));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,15 +19,14 @@
 //!   appended) becomes visible only when `MANIFEST.json` is atomically
 //!   replaced; a crash mid-ingest leaves an orphan file the next open
 //!   ignores and `gc` removes.
-//! * [`store`] — [`store::CoverageDb`]: open/ingest/gc plus segment-map
-//!   loading with an in-memory cache.
-//! * [`memo`] — the memoized merge tree: merge nodes are cached by the
-//!   hash of the segment-id set they cover, with a growth-stable split
-//!   rule, so re-querying after one new ingest recomputes only the
-//!   `O(log n)` right spine.
-//! * [`query`] — run selection ([`query::Selector`]), point lookups,
-//!   never-hit `holes`, run-set `diff`s, and per-instance rollups over
-//!   the hierarchical names that `rtlcov_core::instances` emits.
+//! * [`store`] — [`store::CoverageDb`]: open/ingest/gc plus verified
+//!   segment loading into an in-memory cache of each segment's
+//!   `(name-id, count)` entries (ingest fills it with what it wrote).
+//! * [`query`] — run selection ([`query::Selector`]), merged maps, point
+//!   lookups, never-hit `holes`, run-set `diff`s, and per-instance
+//!   rollups over the hierarchical names that `rtlcov_core::instances`
+//!   emits. Queries add the cached entries into one dense per-name-id
+//!   vector and resolve names only for the rows they return.
 //! * [`http`] — a dependency-free HTTP/1.1 server on `std::net` exposing
 //!   the query layer as JSON endpoints.
 
@@ -36,17 +35,15 @@
 pub mod http;
 pub mod intern;
 pub mod manifest;
-pub mod memo;
 pub mod query;
 pub mod segment;
 pub mod store;
 
 pub use manifest::{Manifest, RunInfo, RunKey};
-pub use memo::MergeMemo;
 pub use query::{DiffEntry, RollupRow, Selector};
 pub use store::{CoverageDb, DbError, IngestOutcome};
 
-/// The 64-bit FNV-1a hash the database uses for checksums and cache keys
+/// The 64-bit FNV-1a hash the database uses for checksums and content ids
 /// (no cryptographic claims — this guards against torn writes and bit
 /// rot, not adversaries).
 pub fn fnv1a(bytes: &[u8]) -> u64 {

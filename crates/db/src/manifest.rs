@@ -127,7 +127,8 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`DbError::Corrupt`] on malformed JSON or a future version.
+    /// [`DbError::Corrupt`] on malformed JSON, a future version, or
+    /// segment ids that are not strictly ascending and below `next_time`.
     pub fn from_json(text: &str) -> Result<Self, DbError> {
         let value =
             json::parse(text).map_err(|e| DbError::Corrupt(format!("manifest json: {e}")))?;
@@ -148,8 +149,16 @@ impl Manifest {
             .and_then(Json::as_array)
             .ok_or_else(|| DbError::Corrupt("manifest missing `segments` array".into()))?;
         for seg in segments {
+            let id = get_u64(seg, "id")?;
+            let after_last = manifest.segments.last().is_none_or(|last| id > last.id);
+            if !after_last || id >= manifest.next_time {
+                return Err(DbError::Corrupt(format!(
+                    "manifest segment id {id} is out of order, repeated, or not below next_time {}",
+                    manifest.next_time
+                )));
+            }
             manifest.segments.push(RunInfo {
-                id: get_u64(seg, "id")?,
+                id,
                 key: RunKey {
                     design: get_str(seg, "design")?,
                     workload: get_str(seg, "workload")?,
@@ -293,8 +302,9 @@ mod tests {
         );
         assert_eq!(empty.to_json(), tree_json(&empty));
         let mut m = sample();
+        m.next_time = u64::MAX;
         m.segments.push(RunInfo {
-            id: u64::MAX,
+            id: u64::MAX - 1, // the largest id below next_time
             key: RunKey {
                 design: "de\"sign\\é".into(),
                 workload: "s\u{1}\t\n€".into(),
@@ -332,6 +342,29 @@ mod tests {
         assert_eq!(Manifest::read_text(&dir).unwrap().as_deref(), Some(&*text));
         assert_eq!(Manifest::from_text(Some(&text)).unwrap(), m);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_ids_must_ascend_below_next_time() {
+        let reject = |m: &Manifest| {
+            assert!(
+                matches!(Manifest::from_json(&m.to_json()), Err(DbError::Corrupt(_))),
+                "{:?}",
+                m.segments.iter().map(|s| s.id).collect::<Vec<_>>()
+            );
+        };
+        let mut repeated = sample();
+        repeated.segments[1].id = 0;
+        reject(&repeated);
+        let mut descending = sample();
+        descending.segments.swap(0, 1);
+        reject(&descending);
+        let mut at_next_time = sample();
+        at_next_time.segments[1].id = at_next_time.next_time;
+        reject(&at_next_time);
+        let mut last_below = sample();
+        last_below.segments[1].id = last_below.next_time - 1;
+        assert!(Manifest::from_json(&last_below.to_json()).is_ok());
     }
 
     #[test]

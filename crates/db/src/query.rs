@@ -3,11 +3,13 @@
 //!
 //! Every query starts from a [`Selector`] — a conjunction of optional
 //! filters over the run key plus a logical-time lower bound — resolves it
-//! to an ordered segment-id set, and merges through the memoized tree
-//! ([`crate::memo`]), so repeated and incrementally-grown queries are
-//! mostly cache hits. Merged results are bit-identical to folding the raw
-//! run maps with [`CoverageMap::merge`], the §5.3 merge the whole system
-//! is built on.
+//! to an ordered segment-id set, and works in name-id space: the selected
+//! segments' cached `(name-id, count)` entries are saturating-added into
+//! one dense per-id vector, and names are resolved only for the rows a
+//! query returns. `point` needs no vector at all: it binary-searches one
+//! id in each selected segment. Results are bit-identical to folding the
+//! raw run maps with [`CoverageMap::merge`], the §5.3 merge the whole
+//! system is built on.
 
 use crate::manifest::RunInfo;
 use crate::store::{CoverageDb, DbError};
@@ -104,9 +106,13 @@ pub fn instance_of(name: &str) -> &str {
     }
 }
 
+/// The §5.3 saturating add into an optional merged count.
+fn add(total: &mut Option<u64>, count: u64) {
+    *total = Some(total.map_or(count, |t| t.saturating_add(count)));
+}
+
 impl CoverageDb {
-    /// Segment ids matching `selector`, in logical-time order — the
-    /// stable order the memoized merge tree wants.
+    /// Segment ids matching `selector`, in logical-time order.
     pub fn select(&self, selector: &Selector) -> Vec<u64> {
         self.runs()
             .iter()
@@ -115,7 +121,38 @@ impl CoverageDb {
             .collect()
     }
 
-    /// The merged map of every selected run (memoized).
+    /// The merged count of every name id over the segments `ids`; `None`
+    /// for a name no selected run declares.
+    fn counts(&self, ids: &[u64]) -> Result<Vec<Option<u64>>, DbError> {
+        let mut counts = vec![None; self.interned_names()];
+        for &id in ids {
+            for &(name, count) in self.entries(id)?.iter() {
+                add(&mut counts[name as usize], count);
+            }
+        }
+        Ok(counts)
+    }
+
+    /// `(name id, row)` pairs with their ids resolved, sorted by name.
+    fn by_name<T>(&self, rows: impl Iterator<Item = (usize, T)>) -> Vec<(&str, T)> {
+        let mut rows: Vec<(&str, T)> = rows.map(|(id, row)| (self.name(id as u32), row)).collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        rows
+    }
+
+    /// Every name the segments `ids` declare with its merged count, in
+    /// name order.
+    pub(crate) fn merged_rows(&self, ids: &[u64]) -> Result<Vec<(&str, u64)>, DbError> {
+        let counts = self.counts(ids)?;
+        Ok(self.by_name(
+            counts
+                .into_iter()
+                .enumerate()
+                .filter_map(|(id, count)| Some((id, count?))),
+        ))
+    }
+
+    /// The merged map of every selected run.
     ///
     /// # Errors
     ///
@@ -130,37 +167,46 @@ impl CoverageDb {
     ///
     /// [`DbError`] when a segment fails to load.
     pub fn merged_ids(&self, ids: &[u64]) -> Result<Arc<CoverageMap>, DbError> {
-        // preload so the infallible memo leaf can't hide a load error
-        for &id in ids {
-            self.segment_map(id)?;
-        }
-        let leaf = |id: u64| {
-            self.segment_map(id)
-                .expect("preloaded above; segments are immutable")
-        };
-        Ok(self.memo.merged(ids, &leaf))
+        let rows = self.merged_rows(ids)?;
+        Ok(Arc::new(
+            rows.into_iter().map(|(n, c)| (n.to_string(), c)).collect(),
+        ))
     }
 
-    /// The merged count of one cover point across the selected runs.
+    /// The merged count of one cover point across the selected runs
+    /// (`None` when no selected run declares it).
     ///
     /// # Errors
     ///
     /// [`DbError`] when a segment fails to load.
     pub fn point(&self, selector: &Selector, name: &str) -> Result<Option<u64>, DbError> {
-        Ok(self.merged(selector)?.count(name))
+        let name_id = self.interner.lookup(name);
+        let mut total = None;
+        for id in self.select(selector) {
+            let entries = self.entries(id)?;
+            let Some(name_id) = name_id else { continue };
+            if let Ok(i) = entries.binary_search_by_key(&name_id, |&(n, _)| n) {
+                add(&mut total, entries[i].1);
+            }
+        }
+        Ok(total)
     }
 
     /// Cover points no selected run has ever hit — the paper's candidates
-    /// for directed tests or formal reachability checks.
+    /// for directed tests or formal reachability checks — in name order.
     ///
     /// # Errors
     ///
     /// [`DbError`] when a segment fails to load.
     pub fn holes(&self, selector: &Selector) -> Result<Vec<String>, DbError> {
+        let counts = self.counts(&self.select(selector))?;
+        let holes = counts
+            .into_iter()
+            .enumerate()
+            .filter(|(_, c)| *c == Some(0));
         Ok(self
-            .merged(selector)?
-            .iter()
-            .filter(|(_, count)| *count == 0)
+            .by_name(holes)
+            .into_iter()
             .map(|(name, _)| name.to_string())
             .collect())
     }
@@ -172,30 +218,22 @@ impl CoverageDb {
     ///
     /// [`DbError`] when a segment fails to load.
     pub fn diff(&self, a: &Selector, b: &Selector) -> Result<Vec<DiffEntry>, DbError> {
-        let ma = self.merged(a)?;
-        let mb = self.merged(b)?;
-        let mut out = Vec::new();
-        for (name, ca) in ma.iter() {
-            let cb = mb.count(name);
-            if cb != Some(ca) {
-                out.push(DiffEntry {
-                    name: name.to_string(),
-                    a: Some(ca),
-                    b: cb,
-                });
-            }
-        }
-        for (name, cb) in mb.iter() {
-            if ma.count(name).is_none() {
-                out.push(DiffEntry {
-                    name: name.to_string(),
-                    a: None,
-                    b: Some(cb),
-                });
-            }
-        }
-        out.sort_by(|x, y| x.name.cmp(&y.name));
-        Ok(out)
+        let ca = self.counts(&self.select(a))?;
+        let cb = self.counts(&self.select(b))?;
+        let differ = ca
+            .into_iter()
+            .zip(cb)
+            .enumerate()
+            .filter(|(_, (a, b))| a != b);
+        Ok(self
+            .by_name(differ)
+            .into_iter()
+            .map(|(name, (a, b))| DiffEntry {
+                name: name.to_string(),
+                a,
+                b,
+            })
+            .collect())
     }
 
     /// Per-instance rollup of the merged selection: group every cover
@@ -205,10 +243,15 @@ impl CoverageDb {
     ///
     /// [`DbError`] when a segment fails to load.
     pub fn rollup(&self, selector: &Selector) -> Result<BTreeMap<String, RollupRow>, DbError> {
-        let merged = self.merged(selector)?;
+        let counts = self.counts(&self.select(selector))?;
         let mut rows: BTreeMap<String, RollupRow> = BTreeMap::new();
-        for (name, count) in merged.iter() {
-            let row = rows.entry(instance_of(name).to_string()).or_default();
+        for (id, count) in counts.into_iter().enumerate() {
+            let Some(count) = count else { continue };
+            let instance = instance_of(self.name(id as u32));
+            let row = match rows.get_mut(instance) {
+                Some(row) => row,
+                None => rows.entry(instance.to_string()).or_default(),
+            };
             row.points += 1;
             if count > 0 {
                 row.covered += 1;
@@ -377,14 +420,16 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_memo() {
-        let (db, dir) = seeded("memo");
+        let (db, dir) = seeded("cache");
+        let cold = CoverageDb::open(&dir).unwrap();
         let sel = Selector::all();
+        let first = cold.merged(&sel).unwrap();
+        assert_eq!(cold.memo_stats(), (0, 3), "three segments read from disk");
+        assert_eq!(cold.merged(&sel).unwrap(), first);
+        assert_eq!(cold.memo_stats(), (3, 3), "the repeat reads nothing");
+        // ingest caches the entries it wrote
         db.merged(&sel).unwrap();
-        let (hits_before, misses_before) = db.memo_stats();
-        db.merged(&sel).unwrap();
-        let (hits_after, misses_after) = db.memo_stats();
-        assert_eq!(misses_after, misses_before, "no new merges");
-        assert!(hits_after > hits_before);
+        assert_eq!(db.memo_stats(), (3, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,7 +23,6 @@
 
 use crate::intern::Interner;
 use crate::manifest::{Manifest, RunInfo, RunKey};
-use crate::memo::MergeMemo;
 use crate::segment::{self, Segment};
 use crate::{fnv1a, fnv1a_continue};
 use rtlcov_core::CoverageMap;
@@ -31,6 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Why a database operation failed.
@@ -78,6 +78,9 @@ fn content_hash(key: &RunKey, map: &CoverageMap) -> u64 {
     hash
 }
 
+/// A verified segment's `(name-id, count)` pairs, ids strictly ascending.
+pub(crate) type Entries = Arc<[(u32, u64)]>;
+
 /// An embedded coverage database rooted at one directory.
 #[derive(Debug)]
 pub struct CoverageDb {
@@ -87,11 +90,12 @@ pub struct CoverageDb {
     /// committed as (`None`: never committed). [`CoverageDb::refresh`]
     /// re-parses only when the file's bytes differ from these.
     manifest_text: Option<String>,
-    interner: Interner,
-    /// Decoded segment maps, cached by id (segments are immutable).
-    seg_cache: Mutex<HashMap<u64, Arc<CoverageMap>>>,
-    /// Memoized merge nodes shared by the query layer.
-    pub(crate) memo: MergeMemo,
+    pub(crate) interner: Interner,
+    /// Verified segment entries, cached by id (segments are immutable).
+    seg_cache: Mutex<HashMap<u64, Entries>>,
+    /// Segment-cache hits and segment loads from disk.
+    cache_hits: AtomicU64,
+    disk_loads: AtomicU64,
 }
 
 impl CoverageDb {
@@ -121,7 +125,8 @@ impl CoverageDb {
             manifest_text,
             interner,
             seg_cache: Mutex::new(HashMap::new()),
-            memo: MergeMemo::new(),
+            cache_hits: AtomicU64::new(0),
+            disk_loads: AtomicU64::new(0),
         })
     }
 
@@ -151,9 +156,15 @@ impl CoverageDb {
         self.interner.name_bytes()
     }
 
-    /// Merge-cache statistics `(hits, misses)`.
+    /// Segment-cache statistics `(hits, loads)`: segment lookups answered
+    /// from the in-memory entry cache, and segments read and verified
+    /// from disk. (The name predates the id-space query layer, which
+    /// keeps no merge cache.)
     pub fn memo_stats(&self) -> (u64, u64) {
-        (self.memo.hits(), self.memo.misses())
+        (
+            self.cache_hits.load(Ordering::Relaxed),
+            self.disk_loads.load(Ordering::Relaxed),
+        )
     }
 
     fn segment_file(id: u64) -> String {
@@ -228,7 +239,7 @@ impl CoverageDb {
             }
         }
         if let Ok(mut cache) = self.seg_cache.lock() {
-            cache.insert(id, Arc::new(map.clone()));
+            cache.insert(id, segment.entries.into());
         }
         Ok(IngestOutcome {
             id,
@@ -236,23 +247,71 @@ impl CoverageDb {
         })
     }
 
-    /// The decoded map of one committed segment (cached after first
-    /// load; segment checksums are verified on every disk read).
+    /// The decoded map of one committed segment, built from its cached
+    /// entries (see [`CoverageDb::entries`]); the map itself is not cached.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CoverageDb::entries`].
+    pub fn segment_map(&self, id: u64) -> Result<Arc<CoverageMap>, DbError> {
+        let entries = self.entries(id)?;
+        Ok(Arc::new(
+            entries
+                .iter()
+                .map(|&(name, count)| (self.name(name).to_string(), count))
+                .collect(),
+        ))
+    }
+
+    /// The name behind an id that [`CoverageDb::entries`] returned.
+    pub(crate) fn name(&self, id: u32) -> &str {
+        self.interner
+            .resolve(id)
+            .expect("entries only hold interned ids")
+    }
+
+    /// The verified entries of one committed segment, cached after the
+    /// first load. A disk read checks the file against the manifest's
+    /// checksum, decodes it with full verification and matches its key
+    /// and time; every call checks the ids against the current name table.
     ///
     /// # Errors
     ///
     /// [`DbError::NotFound`] for an uncommitted id, [`DbError::Corrupt`]
     /// when the file fails verification or disagrees with the manifest.
-    pub fn segment_map(&self, id: u64) -> Result<Arc<CoverageMap>, DbError> {
-        if let Some(cached) = self.seg_cache.lock().ok().and_then(|c| c.get(&id).cloned()) {
-            return Ok(cached);
+    pub(crate) fn entries(&self, id: u64) -> Result<Entries, DbError> {
+        let cached = self.seg_cache.lock().ok().and_then(|c| c.get(&id).cloned());
+        let entries = match cached {
+            Some(entries) => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                entries
+            }
+            None => {
+                let entries = self.load_entries(id)?;
+                self.disk_loads.fetch_add(1, Ordering::Relaxed);
+                if let Ok(mut cache) = self.seg_cache.lock() {
+                    cache.insert(id, Arc::clone(&entries));
+                }
+                entries
+            }
+        };
+        // ids ascend strictly, so the last one bounds them all
+        if let Some(&(name_id, _)) = entries.last() {
+            if name_id as usize >= self.interner.len() {
+                return Err(DbError::Corrupt(format!(
+                    "segment {id} references unknown name id {name_id}"
+                )));
+            }
         }
-        let info = self
-            .manifest
-            .segments
-            .iter()
-            .find(|s| s.id == id)
-            .ok_or_else(|| DbError::NotFound(format!("segment {id}")))?;
+        Ok(entries)
+    }
+
+    fn load_entries(&self, id: u64) -> Result<Entries, DbError> {
+        let segments = &self.manifest.segments;
+        let info = segments
+            .binary_search_by_key(&id, |s| s.id)
+            .map(|i| &segments[i])
+            .map_err(|_| DbError::NotFound(format!("segment {id}")))?;
         let bytes = fs::read(self.dir.join(&info.file))
             .map_err(|e| DbError::Io(format!("read segment {id}: {e}")))?;
         let stored = segment::stored_checksum(&bytes);
@@ -267,19 +326,7 @@ impl CoverageDb {
                 "segment {id} metadata disagrees with the manifest"
             )));
         }
-        let mut map = CoverageMap::new();
-        for (name_id, count) in &segment.entries {
-            let name = self.interner.resolve(*name_id).ok_or_else(|| {
-                DbError::Corrupt(format!("segment {id} references unknown name id {name_id}"))
-            })?;
-            map.declare_ref(name);
-            map.record_ref(name, *count);
-        }
-        let map = Arc::new(map);
-        if let Ok(mut cache) = self.seg_cache.lock() {
-            cache.insert(id, Arc::clone(&map));
-        }
-        Ok(map)
+        Ok(segment.entries.into())
     }
 
     /// Re-read the committed state from disk, picking up segments another
@@ -287,8 +334,9 @@ impl CoverageDb {
     /// file read and compare when the manifest bytes are unchanged
     /// (including after this handle's own ingest); only changed bytes
     /// are parsed and validated. Bytes, not mtime or inode: the commit's
-    /// rename can reuse an inode number immediately. Caches survive:
-    /// segments are immutable, so ids and merge nodes stay valid.
+    /// rename can reuse an inode number immediately. The segment cache
+    /// survives: segments are immutable and the name table only grows,
+    /// so cached ids keep their names.
     ///
     /// # Errors
     ///
@@ -465,6 +513,32 @@ mod tests {
             fresh.segment_map(out.id),
             Err(DbError::Corrupt(_))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_naming_an_unknown_id_is_corrupt() {
+        let dir = tmp("unknown-id");
+        let mut db = CoverageDb::open(&dir).unwrap();
+        let out = db.ingest(&key("gcd", "s0"), &map(&[("a", 1)])).unwrap();
+        // a well-formed segment whose id the name table never assigned,
+        // committed with a matching checksum
+        let bytes = segment::encode(&Segment {
+            key: key("gcd", "s0"),
+            time: out.id,
+            entries: vec![(0, 1), (7, 2)],
+        });
+        fs::write(dir.join(CoverageDb::segment_file(out.id)), &bytes).unwrap();
+        let mut manifest = db.manifest().clone();
+        manifest.segments[0].checksum = segment::stored_checksum(&bytes).unwrap();
+        manifest.commit(&dir).unwrap();
+        let fresh = CoverageDb::open(&dir).unwrap();
+        let err = fresh.merged(&crate::Selector::all()).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Corrupt(e) if e.contains("unknown name id 7")),
+            "{err:?}"
+        );
+        assert!(fresh.segment_map(out.id).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

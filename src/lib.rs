@@ -20,7 +20,7 @@
 //! * [`campaign`] — parallel multi-backend coverage campaigns with
 //!   sharded merging and saturation-aware scheduling;
 //! * [`db`] — embedded append-only coverage database: checksummed
-//!   segments, string interning, memoized merge queries, HTTP serving.
+//!   segments, string interning, name-id-space queries, HTTP serving.
 //!
 //! Start with `examples/quickstart.rs`.
 
