@@ -9,8 +9,8 @@
 //! faults, which is what lets the fault-tolerance tests compare a faulty
 //! campaign bit-for-bit against a fault-free reference.
 //!
-//! The runner consults the plan at each injection point (job pickup, job
-//! execution, shard persistence); [`ShardStore`](crate::shard::ShardStore)
+//! The runner consults the plan at each injection point (job execution,
+//! shard persistence); [`ShardStore`](crate::shard::ShardStore)
 //! write tampering is wired through
 //! [`with_write_tamper`](crate::shard::ShardStore::with_write_tamper).
 
@@ -31,23 +31,16 @@ pub enum FaultKind {
     /// The shard artifact is corrupted on write (caught by read-back
     /// verification, surfacing as a persist failure).
     Corrupt,
-    /// The worker thread itself dies outside the unwind guard — the
-    /// supervisor must recover the in-flight job and respawn the worker.
-    KillWorker,
-    /// The worker panics while holding the job-queue mutex, poisoning it —
-    /// healthy workers must keep operating on the poisoned queue.
-    PoisonQueue,
 }
 
 impl FaultKind {
-    /// Every kind, in a stable order.
-    pub const ALL: [FaultKind; 6] = [
+    /// Every kind, in a stable order (the position salts seeded draws,
+    /// so reordering would change which jobs a `random@` plan hits).
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::Panic,
         FaultKind::Error,
         FaultKind::Stall,
         FaultKind::Corrupt,
-        FaultKind::KillWorker,
-        FaultKind::PoisonQueue,
     ];
 
     /// Stable name (CLI identifier).
@@ -57,8 +50,6 @@ impl FaultKind {
             FaultKind::Error => "error",
             FaultKind::Stall => "stall",
             FaultKind::Corrupt => "corrupt",
-            FaultKind::KillWorker => "kill-worker",
-            FaultKind::PoisonQueue => "poison-queue",
         }
     }
 
@@ -349,8 +340,6 @@ mod tests {
             "error@queue:*:fpga",
             "stall@*:3:*",
             "corrupt@*:*:*=2",
-            "kill-worker@gcd:1:essent",
-            "poison-queue@*:*:compiled=1",
         ] {
             let site = FaultSite::parse(spec).unwrap();
             assert_eq!(site.spec(), spec);
@@ -412,6 +401,8 @@ mod tests {
     fn plan_parse_rejects_garbage() {
         assert!(FaultPlan::parse("random@notanumber:10").is_err());
         assert!(FaultPlan::parse("panic@a:b").is_err());
+        assert!(FaultPlan::parse("kill-worker@gcd:0:interp").is_err());
+        assert!(FaultPlan::parse("poison-queue@*:*:*").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
     }
 

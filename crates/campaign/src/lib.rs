@@ -10,15 +10,15 @@
 //!
 //! * [`job`] — the (design, shard, backend) job axis and the backend
 //!   degradation chain;
-//! * [`runner`] — supervised worker pool + coordinator with panic
+//! * [`runner`] — worker pool + coordinator with per-attempt panic
 //!   isolation, per-job fuel deadlines, retry/quarantine/degrade policy,
 //!   and saturation-aware scheduling (stop a design after `k` shards of
 //!   no new coverage);
-//! * [`supervisor`] — poison-tolerant work queue, in-flight job recovery,
-//!   quarantine set, deterministic retry backoff;
+//! * [`supervisor`] — poison-tolerant work queue, quarantine set,
+//!   deterministic retry backoff;
 //! * [`faults`] — seeded, reproducible fault injection (panics, errors,
-//!   stalls, corrupt shard writes, worker kills, queue poisoning);
-//! * [`merge`] — binary-counter merge tree and plateau detection;
+//!   stalls, corrupt shard writes);
+//! * [`merge`] — running per-design merge and plateau detection;
 //! * [`shard`] — versioned, resumable on-disk shard artifacts
 //!   (JSON or compact binary) with read-back-verified writes;
 //! * [`report`] — per-design metric reports over the merged coverage.
@@ -41,4 +41,4 @@ pub use runner::{
     CampaignStats, JobOutcome,
 };
 pub use shard::{Shard, ShardError, ShardFormat, ShardStore};
-pub use supervisor::{Attempt, Dispatcher, InFlight, Quarantine};
+pub use supervisor::{Attempt, Dispatcher, Quarantine};

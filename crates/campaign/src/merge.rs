@@ -1,13 +1,10 @@
 //! Incremental coverage merging and saturation detection.
 //!
-//! Shard maps stream in as jobs finish. [`MergeTree`] folds them with the
-//! binary-counter (LSM-style) scheme: slot `i` holds a merge of `2^i`
-//! shards, and inserting a new shard carries like binary addition, so a
-//! campaign of `n` shards costs `O(n)` merges of bounded fan-in instead
-//! of rebuilding an ever-growing map. Because [`CoverageMap::merge`] is
-//! a saturating sum — associative and commutative — the final map is
-//! bit-identical no matter how the tree groups or orders shards (the
-//! property the parallel/sequential equivalence tests lean on).
+//! Shard maps stream in as jobs finish. [`MergeTree`] folds each one into
+//! a single running map. Because [`CoverageMap::merge`] is a saturating
+//! sum — associative and commutative — the final map is bit-identical no
+//! matter in which order shards arrive (the property the
+//! parallel/sequential equivalence tests lean on).
 //!
 //! [`SaturationTracker`] watches the stream of per-shard maps for a
 //! design and reports when `k` consecutive shards contributed no newly
@@ -17,11 +14,10 @@
 use rtlcov_core::CoverageMap;
 use std::collections::HashSet;
 
-/// Binary-counter merge tree over coverage shards.
+/// Running merge over coverage shards.
 #[derive(Debug, Default)]
 pub struct MergeTree {
-    /// `slots[i]` is either empty or a merge of exactly `2^i` shards.
-    slots: Vec<Option<CoverageMap>>,
+    merged: CoverageMap,
     inserted: usize,
 }
 
@@ -41,34 +37,15 @@ impl MergeTree {
         self.inserted == 0
     }
 
-    /// Insert one shard, carrying occupied slots upward.
+    /// Fold one shard into the running map.
     pub fn insert(&mut self, map: CoverageMap) {
         self.inserted += 1;
-        let mut carry = map;
-        for slot in self.slots.iter_mut() {
-            match slot.take() {
-                None => {
-                    *slot = Some(carry);
-                    return;
-                }
-                Some(mut resident) => {
-                    // keep the larger side as the accumulator
-                    if resident.len() >= carry.len() {
-                        resident.merge(&carry);
-                        carry = resident;
-                    } else {
-                        carry.merge(&resident);
-                    }
-                }
-            }
-        }
-        self.slots.push(Some(carry));
+        self.merged.merge(&map);
     }
 
-    /// Merge all occupied slots into the final map (non-destructive).
+    /// The merge of every shard inserted so far.
     pub fn merged(&self) -> CoverageMap {
-        let occupied: Vec<&CoverageMap> = self.slots.iter().flatten().collect();
-        CoverageMap::merge_many(&occupied)
+        self.merged.clone()
     }
 }
 

@@ -85,12 +85,6 @@ pub fn summary(result: &CampaignResult) -> String {
             .collect();
         out.push_str(&format!("quarantined: {}\n", pairs.join(", ")));
     }
-    if result.stats.respawned_workers > 0 {
-        out.push_str(&format!(
-            "respawned workers: {}\n",
-            result.stats.respawned_workers
-        ));
-    }
     out
 }
 

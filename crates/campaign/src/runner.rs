@@ -1,16 +1,15 @@
 //! The campaign scheduler: fan (design × shard × backend) jobs out over a
-//! supervised worker pool, stream per-shard coverage back to a
-//! coordinator, and survive backend faults without aborting the campaign.
+//! worker pool, stream per-shard coverage back to a coordinator, and
+//! survive backend faults without aborting the campaign.
 //!
 //! Topology:
 //!
 //! ```text
 //!   Dispatcher ──▶ worker 0 ─┐
 //!   (poison-tolerant    ...  ├─ mpsc ─▶ coordinator: MergeTree per design
-//!    Condvar queue) worker N ─┘   ▲      SaturationTracker per design
-//!        ▲             ▲          │      ShardStore (read-back verified)
-//!        │       supervisor ──────┘      retry / quarantine / degrade
-//!        └────── (respawns dead workers, recovers in-flight jobs)
+//!    Condvar queue) worker N ─┘          SaturationTracker per design
+//!        ▲                               ShardStore (read-back verified)
+//!        └────────────────────────────── retry / quarantine / degrade
 //! ```
 //!
 //! Workers instrument nothing themselves: each design is instrumented
@@ -20,12 +19,10 @@
 //!
 //! Fault tolerance, in layers:
 //!
-//! * **Panic isolation** — every job runs under `catch_unwind`; a
-//!   panicking backend yields [`JobOutcome::Panicked`] (after retries),
-//!   never a campaign abort. Workers that die outside the guard (or while
-//!   holding the queue lock, poisoning it) are detected by a supervisor
-//!   thread that recovers the in-flight job and respawns the worker,
-//!   bounded by a respawn budget.
+//! * **Panic isolation** — every attempt runs under one `catch_unwind`,
+//!   from pickup to event; a panic anywhere in it yields
+//!   [`JobOutcome::Panicked`] (after retries), never a campaign abort,
+//!   and the worker thread goes on to its next attempt.
 //! * **Deadlines** — [`CampaignConfig::job_fuel`] bounds each job (clock
 //!   steps for simulators and FPGA, SAT conflicts for formal); a job that
 //!   runs dry ends as [`JobOutcome::TimedOut`] with its partial coverage
@@ -52,7 +49,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::job::{Backend, JobSpec};
 use crate::merge::{MergeTree, SaturationTracker};
 use crate::shard::{ShardFormat, ShardStore};
-use crate::supervisor::{retry_backoff, Attempt, Dispatcher, InFlight, Quarantine, RespawnBudget};
+use crate::supervisor::{retry_backoff, Attempt, Dispatcher, Quarantine};
 use rtlcov_core::instrument::{CoverageCompiler, Instrumented, Metrics};
 use rtlcov_core::CoverageMap;
 use rtlcov_db::{CoverageDb, RunKey};
@@ -67,7 +64,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -110,8 +106,6 @@ pub struct CampaignConfig {
     pub job_fuel: Option<u64>,
     /// Faults to inject (robustness testing). `None` injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Seed for the deterministic retry backoff jitter.
-    pub backoff_seed: u64,
     /// Software-simulator pipeline knobs (optimizer, partitioned
     /// scheduling) applied to every `Backend::Sim` job.
     pub sim_options: rtlcov_sim::SimBuildOptions,
@@ -135,7 +129,6 @@ impl Default for CampaignConfig {
             max_retries: 1,
             job_fuel: None,
             faults: None,
-            backoff_seed: 0x72746c63,
             sim_options: rtlcov_sim::SimBuildOptions::default(),
         }
     }
@@ -212,8 +205,6 @@ pub struct CampaignStats {
     pub per_backend: BTreeMap<String, BackendStats>,
     /// (design, backend) pairs quarantined during the run.
     pub quarantined: Vec<(String, Backend)>,
-    /// Worker threads the supervisor replaced after a crash.
-    pub respawned_workers: u32,
 }
 
 impl CampaignStats {
@@ -236,7 +227,7 @@ pub struct CampaignResult {
     pub instrumented: BTreeMap<String, Instrumented>,
     /// Outcome of every scheduled job, in job-id order.
     pub outcomes: Vec<(JobSpec, JobOutcome)>,
-    /// Fault-handling counters (retries, panics, degradations, respawns).
+    /// Fault-handling counters (retries, panics, degradations).
     pub stats: CampaignStats,
 }
 
@@ -296,31 +287,18 @@ struct DesignContext {
     flat: Option<FlatCircuit>,
 }
 
+/// How one attempt ended; workers send it to the coordinator paired with
+/// the attempt it belongs to.
 enum Event {
-    /// A job produced a map; `partial` marks a fuel-exhausted run.
+    /// The job produced a map; `partial` marks a fuel-exhausted run.
     Done {
-        attempt: Attempt,
         map: CoverageMap,
         partial: bool,
     },
-    Cancelled {
-        attempt: Attempt,
-    },
-    Failed {
-        attempt: Attempt,
-        error: String,
-    },
-    Panicked {
-        attempt: Attempt,
-        message: String,
-    },
-    /// The supervisor found a worker dead outside the unwind guard.
-    WorkerCrashed {
-        attempt: Option<Attempt>,
-        respawned: bool,
-    },
-    /// Every worker is dead and the respawn budget is spent.
-    WorkersExhausted,
+    Cancelled,
+    Failed(String),
+    /// The recovered panic payload.
+    Panicked(String),
 }
 
 /// Enumerate the full job list for a config, in scheduling order
@@ -430,106 +408,72 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Everything a worker thread needs, bundled so the supervisor can spawn
-/// replacements with one copy.
+/// Everything a worker thread needs.
 #[derive(Clone, Copy)]
 struct WorkerEnv<'a> {
     dispatcher: &'a Dispatcher,
-    in_flight: &'a InFlight,
     quarantine: &'a Quarantine,
     cancel: &'a HashMap<String, AtomicBool>,
     context_of: &'a HashMap<&'a str, &'a DesignContext>,
     config: &'a CampaignConfig,
 }
 
-/// Fault matching uses the *effective* coordinates — a site pinned to a
-/// backend stops firing once the job has degraded off that backend, so a
-/// hard fault on Fpga does not chase the job down to Compiled.
-fn fault_coords(attempt: &Attempt) -> JobSpec {
-    JobSpec {
-        design: attempt.job.design.clone(),
-        shard: attempt.job.shard,
-        backend: attempt.run_on,
+/// Pull attempts until the dispatcher shuts down. Each attempt runs under
+/// one unwind guard, so a panic anywhere in it becomes that attempt's
+/// `Panicked` event and the thread moves on to the next one.
+fn worker_loop(env: WorkerEnv<'_>, sender: &mpsc::Sender<(Attempt, Event)>) {
+    while let Some(mut attempt) = env.dispatcher.next() {
+        let event = catch_unwind(AssertUnwindSafe(|| run_attempt(env, &mut attempt)))
+            .unwrap_or_else(|payload| Event::Panicked(panic_message(payload)));
+        let _ = sender.send((attempt, event));
     }
 }
 
-fn fires(config: &CampaignConfig, kind: FaultKind, coords: &JobSpec, attempt: u32) -> bool {
-    config
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.fire(kind, coords, attempt))
-}
-
-fn worker_loop(slot: usize, env: WorkerEnv<'_>, sender: &mpsc::Sender<Event>) {
-    while let Some(mut attempt) = env.dispatcher.next() {
-        // route around pairs quarantined while the attempt sat queued
-        match env.quarantine.resolve(&attempt.job.design, attempt.run_on) {
-            Some(backend) => {
-                if backend != attempt.run_on {
-                    attempt.run_on = backend;
-                    attempt.attempt = 0;
-                }
-            }
-            None => {
-                let _ = sender.send(Event::Failed {
-                    attempt,
-                    error: "every backend in the fallback chain is quarantined".into(),
-                });
-                continue;
-            }
+/// One attempt, from pickup to event. Re-routing around a quarantined pair
+/// rewrites `attempt` in place, so the event is reported against the
+/// backend that actually ran.
+fn run_attempt(env: WorkerEnv<'_>, attempt: &mut Attempt) -> Event {
+    // route around pairs quarantined while the attempt sat queued
+    match env.quarantine.resolve(&attempt.job.design, attempt.run_on) {
+        Some(backend) if backend != attempt.run_on => {
+            attempt.run_on = backend;
+            attempt.attempt = 0;
         }
-        env.in_flight.begin(slot, &attempt);
-        let coords = fault_coords(&attempt);
-        if fires(env.config, FaultKind::PoisonQueue, &coords, attempt.attempt) {
-            env.dispatcher.poison(); // dies holding the queue lock
-        }
-        if fires(env.config, FaultKind::KillWorker, &coords, attempt.attempt) {
-            panic!("injected fault: worker thread killed");
-        }
-        if env
-            .cancel
-            .get(attempt.job.design.as_str())
-            .is_some_and(|flag| flag.load(Ordering::SeqCst))
-        {
-            env.in_flight.finish(slot);
-            let _ = sender.send(Event::Cancelled { attempt });
-            continue;
-        }
-        std::thread::sleep(retry_backoff(
-            env.config.backoff_seed,
-            &attempt.job,
-            attempt.attempt,
-        ));
-        let event = if fires(env.config, FaultKind::Error, &coords, attempt.attempt) {
-            Event::Failed {
-                attempt,
-                error: "injected fault: backend error".into(),
-            }
-        } else {
-            let stall = fires(env.config, FaultKind::Stall, &coords, attempt.attempt);
-            let inject_panic = fires(env.config, FaultKind::Panic, &coords, attempt.attempt);
-            let ctx = env.context_of[attempt.job.design.as_str()];
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("injected fault: backend panic");
-                }
-                run_job(&attempt.job, attempt.run_on, ctx, env.config, stall)
-            }));
-            match result {
-                Ok(Ok((map, partial))) => Event::Done {
-                    attempt,
-                    map,
-                    partial,
-                },
-                Ok(Err(error)) => Event::Failed { attempt, error },
-                Err(payload) => Event::Panicked {
-                    attempt,
-                    message: panic_message(payload),
-                },
-            }
-        };
-        env.in_flight.finish(slot);
-        let _ = sender.send(event);
+        Some(_) => {}
+        None => return Event::Failed("every backend in the fallback chain is quarantined".into()),
+    }
+    if env
+        .cancel
+        .get(attempt.job.design.as_str())
+        .is_some_and(|flag| flag.load(Ordering::SeqCst))
+    {
+        return Event::Cancelled;
+    }
+    std::thread::sleep(retry_backoff(&attempt.job, attempt.attempt));
+    // fault matching uses the *effective* coordinates: a site pinned to a
+    // backend stops firing once the job has degraded off that backend, so
+    // a hard fault on Fpga does not chase the job down to Compiled
+    let coords = JobSpec {
+        backend: attempt.run_on,
+        ..attempt.job.clone()
+    };
+    let fires = |kind| {
+        env.config
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.fire(kind, &coords, attempt.attempt))
+    };
+    if fires(FaultKind::Error) {
+        return Event::Failed("injected fault: backend error".into());
+    }
+    let stall = fires(FaultKind::Stall);
+    if fires(FaultKind::Panic) {
+        panic!("injected fault: backend panic");
+    }
+    let ctx = env.context_of[attempt.job.design.as_str()];
+    match run_job(&attempt.job, attempt.run_on, ctx, env.config, stall) {
+        Ok((map, partial)) => Event::Done { map, partial },
+        Err(error) => Event::Failed(error),
     }
 }
 
@@ -546,7 +490,6 @@ struct Coordinator<'a> {
     outcomes: HashMap<JobSpec, JobOutcome>,
     stats: CampaignStats,
     terminal: usize,
-    workers_gone: bool,
 }
 
 impl Coordinator<'_> {
@@ -579,7 +522,7 @@ impl Coordinator<'_> {
         if panicked {
             stats.panics += 1;
         }
-        if !self.workers_gone && attempt.attempt < self.config.max_retries {
+        if attempt.attempt < self.config.max_retries {
             stats.retries += 1;
             self.dispatcher.push(Attempt {
                 attempt: attempt.attempt + 1,
@@ -588,15 +531,13 @@ impl Coordinator<'_> {
             return;
         }
         self.quarantine.add(&attempt.job.design, attempt.run_on);
-        if !self.workers_gone {
-            if let Some(next) = self.quarantine.resolve(&attempt.job.design, attempt.run_on) {
-                self.dispatcher.push(Attempt {
-                    job: attempt.job,
-                    run_on: next,
-                    attempt: 0,
-                });
-                return;
-            }
+        if let Some(next) = self.quarantine.resolve(&attempt.job.design, attempt.run_on) {
+            self.dispatcher.push(Attempt {
+                job: attempt.job,
+                run_on: next,
+                attempt: 0,
+            });
+            return;
         }
         let outcome = if panicked {
             JobOutcome::Panicked(error)
@@ -606,13 +547,9 @@ impl Coordinator<'_> {
         self.conclude(attempt.job, outcome);
     }
 
-    fn on_event(&mut self, event: Event) {
+    fn on_event(&mut self, attempt: Attempt, event: Event) {
         match event {
-            Event::Done {
-                attempt,
-                map,
-                partial,
-            } => {
+            Event::Done { map, partial } => {
                 if partial {
                     // the deadline ended the job; its partial coverage is
                     // real and merges, but the shard is not persisted, so
@@ -648,26 +585,9 @@ impl Coordinator<'_> {
                 };
                 self.conclude(attempt.job, outcome);
             }
-            Event::Cancelled { attempt } => self.conclude(attempt.job, JobOutcome::Cancelled),
-            Event::Failed { attempt, error } => self.fail(attempt, error, false),
-            Event::Panicked { attempt, message } => self.fail(attempt, message, true),
-            Event::WorkerCrashed { attempt, respawned } => {
-                if respawned {
-                    self.stats.respawned_workers += 1;
-                }
-                if let Some(attempt) = attempt {
-                    self.fail(attempt, "worker thread died mid-job".into(), true);
-                }
-            }
-            Event::WorkersExhausted => {
-                self.workers_gone = true;
-                for attempt in self.dispatcher.drain() {
-                    self.conclude(
-                        attempt.job,
-                        JobOutcome::Failed("no live workers left".into()),
-                    );
-                }
-            }
+            Event::Cancelled => self.conclude(attempt.job, JobOutcome::Cancelled),
+            Event::Failed(error) => self.fail(attempt, error, false),
+            Event::Panicked(message) => self.fail(attempt, message, true),
         }
     }
 }
@@ -784,9 +704,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignE
     }
 
     let dispatcher = Dispatcher::new(pending.into_iter().map(Attempt::first));
-    let in_flight = InFlight::new(workers);
     let quarantine = Quarantine::default();
-    let (sender, receiver) = mpsc::channel::<Event>();
+    let (sender, receiver) = mpsc::channel::<(Attempt, Event)>();
 
     let mut coordinator = Coordinator {
         config,
@@ -800,69 +719,27 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignE
         outcomes,
         stats: CampaignStats::default(),
         terminal: 0,
-        workers_gone: false,
     };
     for backend in &config.backends {
         coordinator.stats.backend_mut(*backend); // stable report keys
     }
     let env = WorkerEnv {
         dispatcher: &dispatcher,
-        in_flight: &in_flight,
         quarantine: &quarantine,
         cancel: &cancel,
         context_of: &context_of,
         config,
     };
-    let respawn_max = u32::try_from(workers).unwrap_or(u32::MAX).saturating_mul(8);
 
     std::thread::scope(|scope| {
-        // the supervisor owns the worker handles: it polls them, recovers
-        // the in-flight job of any worker that died outside the unwind
-        // guard, and respawns replacements until its budget runs out
-        scope.spawn(move || {
-            let spawn_worker = |slot: usize| {
-                let sender = sender.clone();
-                scope.spawn(move || worker_loop(slot, env, &sender))
-            };
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ()>>> =
-                (0..workers).map(|slot| Some(spawn_worker(slot))).collect();
-            let mut budget = RespawnBudget::new(respawn_max);
-            loop {
-                let mut alive = 0usize;
-                for (slot, handle) in handles.iter_mut().enumerate() {
-                    let finished = handle.as_ref().is_some_and(|h| h.is_finished());
-                    if finished {
-                        let crashed = handle.take().expect("handle present").join().is_err();
-                        if crashed {
-                            let attempt = env.in_flight.take(slot);
-                            let respawned = !env.dispatcher.is_shutdown() && budget.claim();
-                            let _ = sender.send(Event::WorkerCrashed { attempt, respawned });
-                            if respawned {
-                                *handle = Some(spawn_worker(slot));
-                                alive += 1;
-                            }
-                        }
-                    } else if handle.is_some() {
-                        alive += 1;
-                    }
-                }
-                if alive == 0 {
-                    if env.dispatcher.is_shutdown() {
-                        break;
-                    }
-                    let _ = sender.send(Event::WorkersExhausted);
-                    while !env.dispatcher.is_shutdown() {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        });
-
+        for _ in 0..workers {
+            let sender = sender.clone();
+            scope.spawn(move || worker_loop(env, &sender));
+        }
+        drop(sender);
         while coordinator.terminal < scheduled {
             match receiver.recv() {
-                Ok(event) => coordinator.on_event(event),
+                Ok((attempt, event)) => coordinator.on_event(attempt, event),
                 Err(_) => {
                     // every sender is gone: account for whatever is left
                     for attempt in dispatcher.drain() {
@@ -945,7 +822,6 @@ mod tests {
         assert_eq!(result.completed(), 2);
         assert_eq!(result.failed(), 0);
         assert!(result.healthy());
-        assert_eq!(result.stats.respawned_workers, 0);
         let gcd = &result.per_design["gcd"];
         assert!(!gcd.is_empty(), "line instrumentation yields cover points");
         assert_eq!(result.merged.len(), gcd.len());

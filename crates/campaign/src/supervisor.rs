@@ -1,18 +1,16 @@
-//! Worker supervision primitives: the poison-tolerant work queue, the
-//! in-flight job table that lets a crashed worker's job be recovered and
-//! retried, the quarantine set behind graceful degradation, and the
-//! deterministic retry backoff.
+//! Worker-pool primitives: the poison-tolerant work queue, the
+//! quarantine set behind graceful degradation, and the deterministic
+//! retry backoff.
 //!
 //! The runner composes these inside `std::thread::scope`: workers pull
-//! [`Attempt`]s from the [`Dispatcher`], a supervisor thread polls worker
-//! handles and respawns any that die (bounded by a respawn budget), and
-//! the coordinator pushes retries/degradations back into the queue. Every
-//! lock here is acquired through [`lock_unpoisoned`], so a worker that
-//! panics while holding a mutex (deliberately injectable via the
-//! `poison-queue` fault) degrades to a recovered job and a respawned
-//! thread instead of a campaign-wide abort: the plain data behind these
-//! mutexes (queues, slot tables, sets) is valid at every intermediate
-//! state, so the poison flag carries no integrity information we need.
+//! [`Attempt`]s from the [`Dispatcher`] and run each one, from pickup to
+//! event, under a single unwind guard, so a worker thread never dies
+//! mid-campaign; the coordinator pushes retries/degradations back into
+//! the queue. Every lock here is acquired through [`lock_unpoisoned`]:
+//! the plain data behind these mutexes (queues, sets) is valid at every
+//! intermediate state, so the poison flag carries no integrity
+//! information we need, and a panic that escapes while a lock is held
+//! cannot wedge the queue for everyone else.
 
 use crate::faults;
 use crate::job::{Backend, JobSpec};
@@ -70,8 +68,7 @@ impl Dispatcher {
         }
     }
 
-    /// Enqueue an attempt (retry, degradation, or recovered in-flight job)
-    /// and wake one worker.
+    /// Enqueue an attempt (retry or degradation) and wake one worker.
     pub fn push(&self, attempt: Attempt) {
         lock_unpoisoned(&self.queue).push_back(attempt);
         self.ready.notify_one();
@@ -109,54 +106,6 @@ impl Dispatcher {
         let _queue = lock_unpoisoned(&self.queue);
         self.shutdown.store(true, Ordering::SeqCst);
         self.ready.notify_all();
-    }
-
-    /// Whether [`Dispatcher::shutdown`] has been called.
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Fault-injection hook: panic *while holding the queue mutex*,
-    /// poisoning it. Healthy workers must keep draining the queue anyway —
-    /// this is what the poison-tolerance guarantee is tested against.
-    ///
-    /// # Panics
-    ///
-    /// Always (that is the fault).
-    pub fn poison(&self) -> ! {
-        let _guard = self.queue.lock();
-        panic!("injected fault: worker died holding the job-queue lock");
-    }
-}
-
-/// The job each worker slot is currently executing, so the supervisor can
-/// recover (and requeue) the job a crashed worker took down with it.
-#[derive(Debug)]
-pub struct InFlight {
-    slots: Mutex<Vec<Option<Attempt>>>,
-}
-
-impl InFlight {
-    /// A table with one empty slot per worker.
-    pub fn new(workers: usize) -> Self {
-        InFlight {
-            slots: Mutex::new(vec![None; workers]),
-        }
-    }
-
-    /// Record that `slot` is now executing `attempt`.
-    pub fn begin(&self, slot: usize, attempt: &Attempt) {
-        lock_unpoisoned(&self.slots)[slot] = Some(attempt.clone());
-    }
-
-    /// Record that `slot` finished its attempt (event already sent).
-    pub fn finish(&self, slot: usize) {
-        lock_unpoisoned(&self.slots)[slot] = None;
-    }
-
-    /// Take whatever `slot` was executing when its worker died.
-    pub fn take(&self, slot: usize) -> Option<Attempt> {
-        lock_unpoisoned(&self.slots)[slot].take()
     }
 }
 
@@ -196,48 +145,18 @@ impl Quarantine {
     }
 }
 
-/// How many times the supervisor may replace a dead worker before the
-/// pool is declared lost.
-#[derive(Debug, Clone, Copy)]
-pub struct RespawnBudget {
-    left: u32,
-    spent: u32,
-}
-
-impl RespawnBudget {
-    /// A budget of `max` respawns.
-    pub fn new(max: u32) -> Self {
-        RespawnBudget {
-            left: max,
-            spent: 0,
-        }
-    }
-
-    /// Claim one respawn; `false` when the budget is exhausted.
-    pub fn claim(&mut self) -> bool {
-        if self.left == 0 {
-            return false;
-        }
-        self.left -= 1;
-        self.spent += 1;
-        true
-    }
-
-    /// Respawns performed so far.
-    pub fn spent(&self) -> u32 {
-        self.spent
-    }
-}
+/// Seed for the retry backoff jitter.
+const BACKOFF_SEED: u64 = 0x72746c63;
 
 /// Deterministic backoff before retry `attempt` of `job`: exponential in
 /// the attempt number with seeded jitter (no wall-clock randomness), and
 /// capped low enough to keep tests fast. Attempt 0 never waits.
-pub fn retry_backoff(seed: u64, job: &JobSpec, attempt: u32) -> Duration {
+pub fn retry_backoff(job: &JobSpec, attempt: u32) -> Duration {
     if attempt == 0 {
         return Duration::ZERO;
     }
     let base = 1u64 << (attempt.min(5) - 1); // 1, 2, 4, 8, 16 ms
-    let jitter = faults::mix(seed, &job.id(), u64::from(attempt)) % 3;
+    let jitter = faults::mix(BACKOFF_SEED, &job.id(), u64::from(attempt)) % 3;
     Duration::from_millis(base + jitter)
 }
 
@@ -258,7 +177,13 @@ mod tests {
     #[test]
     fn dispatcher_survives_a_poisoned_queue() {
         let d = Dispatcher::new([Attempt::first(job("gcd", 0, Backend::Fpga))]);
-        assert!(catch_unwind(AssertUnwindSafe(|| d.poison())).is_err());
+        // a thread that panics while holding the queue lock poisons it
+        assert!(catch_unwind(AssertUnwindSafe(|| {
+            let _guard = d.queue.lock();
+            panic!("died holding the job-queue lock");
+        }))
+        .is_err());
+        assert!(d.queue.is_poisoned());
         // the mutex is now poisoned, but the queue still works
         let got = d.next().expect("queued attempt survives poison");
         assert_eq!(got.job.design, "gcd");
@@ -302,18 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_recovers_the_crashed_job() {
-        let table = InFlight::new(2);
-        let a = Attempt::first(job("serv", 1, Backend::Fpga));
-        table.begin(1, &a);
-        assert_eq!(table.take(1), Some(a));
-        assert_eq!(table.take(1), None, "recovered exactly once");
-        table.begin(0, &Attempt::first(job("gcd", 0, Backend::Fpga)));
-        table.finish(0);
-        assert_eq!(table.take(0), None, "finished jobs are not recovered");
-    }
-
-    #[test]
     fn quarantine_walks_the_fallback_chain() {
         let q = Quarantine::default();
         let interp = Backend::Sim(SimKind::Interp);
@@ -334,22 +247,13 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_and_bounded() {
         let j = job("gcd", 0, Backend::Fpga);
-        assert_eq!(retry_backoff(7, &j, 0), Duration::ZERO);
+        assert_eq!(retry_backoff(&j, 0), Duration::ZERO);
         for attempt in 1..10 {
-            let a = retry_backoff(7, &j, attempt);
-            assert_eq!(a, retry_backoff(7, &j, attempt), "seeded, reproducible");
+            let a = retry_backoff(&j, attempt);
+            assert_eq!(a, retry_backoff(&j, attempt), "seeded, reproducible");
             assert!(a >= Duration::from_millis(1));
             assert!(a <= Duration::from_millis(16 + 2));
         }
-        assert!(retry_backoff(7, &j, 5) > retry_backoff(7, &j, 1));
-    }
-
-    #[test]
-    fn respawn_budget_is_bounded() {
-        let mut b = RespawnBudget::new(2);
-        assert!(b.claim());
-        assert!(b.claim());
-        assert!(!b.claim());
-        assert_eq!(b.spent(), 2);
+        assert!(retry_backoff(&j, 5) > retry_backoff(&j, 1));
     }
 }

@@ -2,9 +2,9 @@
 //! backend).
 //!
 //! Features: two-watched-literal propagation, first-UIP conflict analysis
-//! with clause learning, VSIDS-style activity ordering, geometric
-//! restarts, and incremental solving under assumptions (used by the BMC
-//! loop to query one cover point at a time over a shared unrolling).
+//! with clause learning, VSIDS-style activity ordering, and incremental
+//! solving under assumptions (used by the BMC loop to query one cover
+//! point at a time over a shared unrolling).
 
 use std::fmt;
 
@@ -104,8 +104,6 @@ pub struct Solver {
     queue_head: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    /// heap-less VSIDS: sorted retry list rebuilt on restart
-    order: Vec<Var>,
     conflicts: u64,
     /// total conflict budget per solve call
     budget: u64,
@@ -144,7 +142,6 @@ impl Solver {
             queue_head: 0,
             activity: Vec::new(),
             var_inc: 1.0,
-            order: Vec::new(),
             conflicts: 0,
             budget: u64::MAX,
         }
@@ -170,7 +167,6 @@ impl Solver {
         self.activity.push(0.0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push(v);
         v
     }
 

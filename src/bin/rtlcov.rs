@@ -18,6 +18,9 @@
 //! rtlcov db serve --db DIR [--addr HOST:PORT] [--max-requests N]     HTTP query endpoint
 //! ```
 //!
+//! `--metrics` defaults to `line` for the commands that take a file and
+//! to `all` for `campaign` (the library's `CampaignConfig` default).
+//!
 //! `db` selectors are comma-separated `key=value` filters over
 //! `design`, `workload`, `backend`, `label`, and `since` (logical time).
 //!
@@ -131,7 +134,6 @@ fn parse_args() -> Result<Args, String> {
         campaign: CampaignConfig::default(),
         keep_going: false,
     };
-    args.campaign.metrics = args.metrics;
     let mut i = if takes_file { 2 } else { 1 };
     while i < argv.len() {
         let flag = argv[i].as_str();

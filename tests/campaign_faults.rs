@@ -258,60 +258,6 @@ fn crash_resume_reproduces_the_uninterrupted_merge() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Worker-thread death outside the unwind guard — including dying while
-/// holding the queue mutex, poisoning it — must be healed by the
-/// supervisor: in-flight jobs recovered and retried, workers respawned,
-/// and the final merge identical to a fault-free run.
-#[test]
-fn supervisor_respawns_workers_and_recovers_their_jobs() {
-    let config = CampaignConfig {
-        shards: 3,
-        workers: 2,
-        max_retries: 2,
-        ..base_config(&["gcd"], &[INTERP])
-    };
-    let clean = run_campaign(&config).unwrap();
-    let plan = FaultPlan::parse("kill-worker@gcd:0:interp=1,poison-queue@gcd:1:interp=1").unwrap();
-    let faulty = run_campaign(&CampaignConfig {
-        faults: Some(Arc::new(plan)),
-        ..config.clone()
-    })
-    .unwrap();
-    assert!(faulty.healthy(), "outcomes: {:?}", faulty.outcomes);
-    assert_eq!(faulty.completed(), 3);
-    assert_eq!(faulty.stats.respawned_workers, 2);
-    assert!(faulty.stats.per_backend["interp"].retries >= 2);
-    assert_eq!(
-        faulty.merged, clean.merged,
-        "worker deaths must not change the merge by a bit"
-    );
-    let summary = rtlcov::campaign::report::summary(&faulty);
-    assert!(summary.contains("respawned workers: 2"), "{summary}");
-}
-
-/// A worker pool that keeps dying must not hang the campaign: with an
-/// unbudgeted kill fault on every job, the respawn budget runs out and
-/// every remaining job ends terminally instead of waiting forever.
-#[test]
-fn exhausted_worker_pool_fails_jobs_instead_of_hanging() {
-    let config = CampaignConfig {
-        shards: 4,
-        workers: 1,
-        max_retries: 0,
-        faults: Some(Arc::new(FaultPlan::parse("kill-worker@*:*:*").unwrap())),
-        ..base_config(&["gcd"], &[INTERP])
-    };
-    let result = run_campaign(&config).expect("must terminate");
-    assert!(!result.healthy());
-    assert_eq!(result.completed(), 0);
-    assert_eq!(
-        result.panicked() + result.failed(),
-        4,
-        "every job accounted for: {:?}",
-        result.outcomes
-    );
-}
-
 /// Decode a generated index tuple into a fault site over the recoverable
 /// kinds (the vendored proptest subset has no `prop_oneof`/`prop_map`,
 /// so the choice axes are generated as small integers).
