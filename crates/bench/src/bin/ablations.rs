@@ -3,19 +3,18 @@
 //! 1. toggle coverage **with vs without** the global alias analysis
 //!    (§4.2: "necessary to make toggle coverage perform well");
 //! 2. line coverage instrumented **before vs after** when-expansion
-//!    (§4.1: the pass must run while branches still exist);
-//! 3. the **activity-driven** backend vs dense evaluation on low- and
-//!    high-activity workloads (the ESSENT premise).
+//!    (§4.1: the pass must run while branches still exist).
+//!
+//! The activity-driven backend's premise (an idle design executes a small
+//! share of its program) is measured by `bench_sim`'s `essent_1` rows.
 
 use rtlcov_bench::{instrumented_sim, run_workload, scale, Table};
 use rtlcov_core::instrument::Metrics;
 use rtlcov_core::passes::line::instrument_line_coverage;
 use rtlcov_core::passes::toggle::ToggleOptions;
-use rtlcov_designs::workloads::{neuroproc_workload, riscv_mini_workload, table2_workloads};
+use rtlcov_designs::workloads::table2_workloads;
 use rtlcov_firrtl::ir::Stmt;
 use rtlcov_firrtl::passes;
-use rtlcov_sim::essent::EssentSim;
-use rtlcov_sim::Simulator;
 
 fn main() {
     let scale = scale(4);
@@ -82,35 +81,4 @@ fn main() {
         info.cover_count(),
         whens
     );
-
-    println!("=== Ablation 3: activity-driven evaluation (ESSENT premise) ===\n");
-    let mut table = Table::new();
-    table.row(vec![
-        "workload".into(),
-        "activity factor".into(),
-        "note".into(),
-    ]);
-    // low activity: riscv-mini spinning in its fetch FSM with no program
-    let w = riscv_mini_workload(2000 * scale);
-    let low = passes::lower(w.circuit.clone()).unwrap();
-    let mut sim = EssentSim::new(&low).unwrap();
-    // no program: the core spins in FETCH with an all-zero icache
-    sim.reset(2);
-    sim.step_n(2000 * scale);
-    table.row(vec![
-        "riscv-mini (idle spin)".into(),
-        format!("{:.2}", sim.activity_factor()),
-        "quiescent logic skipped".into(),
-    ]);
-    // high activity: neuron processor with constant stimulation
-    let w = neuroproc_workload(2000 * scale);
-    let low = passes::lower(w.circuit.clone()).unwrap();
-    let mut sim = EssentSim::new(&low).unwrap();
-    let _ = w.trace.replay(&mut sim);
-    table.row(vec![
-        "NeuroProc (stimulated)".into(),
-        format!("{:.2}", sim.activity_factor()),
-        "datapath churns every cycle".into(),
-    ]);
-    println!("{}", table.render());
 }

@@ -19,10 +19,10 @@
 //! are integer microseconds and ratios are permille, because the
 //! workspace's mini-JSON is integer-only by design.
 
+use rtlcov_bench::{micros, obj, per_second};
 use rtlcov_core::json::Json;
 use rtlcov_core::CoverageMap;
 use rtlcov_db::{CoverageDb, RunKey, Selector};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 const RUNS: u64 = 64;
@@ -53,26 +53,6 @@ fn key(run: u64) -> RunKey {
         backend: "interp".into(),
         label: "bench".into(),
     }
-}
-
-fn micros(from: Instant) -> u64 {
-    u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-fn per_second(count: u64, elapsed_us: u64) -> u64 {
-    if elapsed_us == 0 {
-        return u64::MAX;
-    }
-    count.saturating_mul(1_000_000) / elapsed_us
-}
-
-fn obj(entries: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
 }
 
 fn main() {

@@ -3,11 +3,13 @@
 //! Shared plumbing for the benchmark binaries that regenerate every table
 //! and figure of the paper (see DESIGN.md §4 for the experiment index).
 //! Each `src/bin/*.rs` binary prints the rows/series of one table or
-//! figure; `benches/` holds scaled-down Criterion versions.
+//! figure; `bench_sim` and `bench_db` write the committed `BENCH_*.json`
+//! tables.
 
 #![warn(missing_docs)]
 
 use rtlcov_core::instrument::{CoverageCompiler, Instrumented, Metrics};
+use rtlcov_core::json::Json;
 use rtlcov_designs::workloads::Workload;
 use rtlcov_sim::compiled::CompiledSim;
 use rtlcov_sim::Simulator;
@@ -33,6 +35,30 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
+}
+
+/// Integer microseconds elapsed since `from` (the `BENCH_*.json` time
+/// unit: the workspace's mini-JSON is integer-only by design).
+pub fn micros(from: Instant) -> u64 {
+    u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// `count` events over `elapsed_us` microseconds, as a per-second rate.
+pub fn per_second(count: u64, elapsed_us: u64) -> u64 {
+    if elapsed_us == 0 {
+        return u64::MAX;
+    }
+    count.saturating_mul(1_000_000) / elapsed_us
+}
+
+/// A JSON object from `(key, value)` pairs.
+pub fn obj(entries: Vec<(&str, Json)>) -> Json {
+    Json::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Replay a workload (loading its program if any) and return the elapsed

@@ -9,7 +9,7 @@
 //!                 [--shards N] [--scale N] [--workers N] [--plateau K]
 //!                 [--shard-dir DIR] [--format json|bin] [--bmc-steps K]
 //!                 [--max-retries N] [--job-fuel N] [--fault-plan SPEC] [--keep-going]
-//!                 [--db DIR] [--db-label L] [--no-sim-opt]
+//!                 [--db DIR] [--db-label L]
 //! rtlcov db ingest --db DIR --shard-dir DIR [--label L]              commit loose campaign shards
 //! rtlcov db query --db DIR [--select k=v,..]                         merged coverage for a run selection
 //! rtlcov db holes --db DIR [--select k=v,..]                         never-hit cover points
@@ -55,7 +55,7 @@ fn usage() -> ExitCode {
          [--metrics ...] [--shards N] [--scale N] [--workers N] [--plateau K]\n                  \
          [--shard-dir DIR] [--format json|bin] [--bmc-steps K]\n                  \
          [--max-retries N] [--job-fuel N] [--fault-plan SPEC] [--keep-going]\n                  \
-         [--db DIR] [--db-label L] [--no-sim-opt]\n  \
+         [--db DIR] [--db-label L]\n  \
          rtlcov db ingest --db DIR --shard-dir DIR [--label L]\n  \
          rtlcov db query|holes --db DIR [--select k=v,..]\n  \
          rtlcov db diff --db DIR --a k=v,.. --b k=v,..\n  \
@@ -140,11 +140,6 @@ fn parse_args() -> Result<Args, String> {
         // boolean flags take no value
         if flag == "--keep-going" {
             args.keep_going = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--no-sim-opt" {
-            args.campaign.sim_options.optimize = false;
             i += 1;
             continue;
         }
