@@ -5,16 +5,11 @@
 //! campaign runs) and replayed twice: on its campaign workload, and as
 //! `<name>-idle` — reset, then constant-zero inputs with no program
 //! loaded, so riscv-mini spins in its fetch state. Every workload runs
-//! four configurations:
-//!
-//! 1. `compiled_raw` — the straight-line executor, optimizer off;
-//! 2. `compiled_opt` — the same executor on the optimized program;
-//! 3. `essent_part` — the activity-driven engine with default partitions
-//!    (the campaign pipeline);
-//! 4. `essent_1` — the same engine with one-instruction partitions, so
-//!    its instruction activity is the share of instructions whose inputs
-//!    changed: the ESSENT premise that an idle design executes a small
-//!    share of its program.
+//! four entries of `rtlcov_fuzz::equivalence::CONFIGS`, named in
+//! [`TIMED`], and they must return the same cover map. `essent_1`'s
+//! instruction activity is the share of instructions whose inputs
+//! changed: the ESSENT premise that an idle design executes a small share
+//! of its program.
 //!
 //! Reports cycles/second (best of [`REPS`]) and program size per
 //! configuration, plus executed-instruction and executed-partition
@@ -27,12 +22,11 @@ use rtlcov_bench::{micros, obj, per_second, scale};
 use rtlcov_core::instrument::{CoverageCompiler, Metrics};
 use rtlcov_core::json::Json;
 use rtlcov_designs::workloads::{campaign_workload, Workload};
-use rtlcov_firrtl::ir::Circuit;
+use rtlcov_fuzz::equivalence::{config, same_coverage};
 use rtlcov_sim::compiled::CompiledSim;
-use rtlcov_sim::essent::{EssentOptions, EssentSim};
-use rtlcov_sim::opt::OptOptions;
+use rtlcov_sim::essent::EssentSim;
 use rtlcov_sim::testbench::InputTrace;
-use rtlcov_sim::{SimError, Simulator};
+use rtlcov_sim::{SimError, SimKind, Simulator};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -55,41 +49,10 @@ const REPS: usize = 3;
 /// Idle-variant cycle count at `RTLCOV_SCALE=1`.
 const IDLE_CYCLES: usize = 20_000;
 
-/// One configuration: replays a workload on the instrumented circuit and
-/// returns its JSON row.
-type Config = fn(&Workload, &Circuit) -> Json;
-
-/// The configurations every workload runs, as (row name, runner).
-const CONFIGS: [(&str, Config); 4] = [
-    ("compiled_raw", |w, c| {
-        time(
-            w,
-            || CompiledSim::new_with(c, &OptOptions::none()),
-            compiled_stats,
-        )
-    }),
-    ("compiled_opt", |w, c| {
-        time(
-            w,
-            || CompiledSim::new_with(c, &OptOptions::default()),
-            compiled_stats,
-        )
-    }),
-    ("essent_part", |w, c| {
-        time(
-            w,
-            || EssentSim::new_with(c, &EssentOptions::default()),
-            essent_stats,
-        )
-    }),
-    ("essent_1", |w, c| {
-        let opts = EssentOptions {
-            partition: false,
-            ..EssentOptions::default()
-        };
-        time(w, || EssentSim::new_with(c, &opts), essent_stats)
-    }),
-];
+/// The configurations every workload runs, by row name: compiled without
+/// and with the optimizer, and essent with default and with
+/// one-instruction partitions.
+const TIMED: [&str; 4] = ["compiled_raw", "compiled_opt", "essent_part", "essent_1"];
 
 fn compiled_stats(sim: &CompiledSim) -> Vec<(&'static str, Json)> {
     vec![("instrs", Json::UInt(sim.opt_stats().instrs_after as u64))]
@@ -126,14 +89,14 @@ fn idle_variant(base: &Workload, cycles: usize) -> Workload {
     }
 }
 
-/// Best-of-[`REPS`] replay of one configuration, as its JSON row: time
-/// and rate, then `stats` of the last run (they do not depend on the
-/// repetition).
-fn time<S: Simulator>(
+/// Best-of-[`REPS`] replay of one configuration: its JSON row (time and
+/// rate, then `stats`, which do not depend on the repetition) and the
+/// last simulator run.
+fn time<S: Simulator + 'static>(
     workload: &Workload,
     build: impl Fn() -> Result<S, SimError>,
     stats: fn(&S) -> Vec<(&'static str, Json)>,
-) -> Json {
+) -> (Json, Box<dyn Simulator>) {
     let mut best = u64::MAX;
     let mut last = None;
     for _ in 0..REPS {
@@ -144,13 +107,14 @@ fn time<S: Simulator>(
         assert!(!map.is_empty(), "instrumentation must yield cover points");
         last = Some(sim);
     }
+    let last = last.expect("REPS > 0");
     let cycles = workload.trace.cycles() as u64;
     let mut entries = vec![
         ("us", Json::UInt(best)),
         ("cycles_per_sec", Json::UInt(per_second(cycles, best))),
     ];
-    entries.extend(stats(&last.expect("REPS > 0")));
-    obj(entries)
+    entries.extend(stats(&last));
+    (obj(entries), Box::new(last))
 }
 
 fn main() {
@@ -172,18 +136,26 @@ fn main() {
         ] {
             let mut entries = vec![("cycles", Json::UInt(workload.trace.cycles() as u64))];
             let mut line = format!("{name:<16} {:>7} cycles |", workload.trace.cycles());
-            for (cfg, run) in CONFIGS {
-                let row = run(workload, &inst.circuit);
+            let mut sims = Vec::new();
+            for cfg in TIMED.map(config) {
+                let c = &inst.circuit;
+                let (row, sim) = match cfg.kind {
+                    SimKind::Compiled => time(workload, || cfg.compiled(c), compiled_stats),
+                    SimKind::Essent => time(workload, || cfg.essent(c), essent_stats),
+                    SimKind::Interp => unreachable!("bench_sim times compiled programs"),
+                };
+                sims.push((cfg.name, sim));
                 let cps = row
                     .get("cycles_per_sec")
                     .and_then(Json::as_u64)
                     .unwrap_or(0);
-                line += &format!(" {cfg} {cps}/s");
+                line += &format!(" {} {cps}/s", cfg.name);
                 if let Some(a) = row.get("instr_activity_permille").and_then(Json::as_u64) {
                     line += &format!(" ({a}‰)");
                 }
-                entries.push((cfg, row));
+                entries.push((cfg.name, row));
             }
+            same_coverage(&sims).unwrap_or_else(|e| panic!("{name}: {e}"));
             println!("{line}");
             designs.insert(name, obj(entries));
         }

@@ -11,7 +11,7 @@ use rtlcov_core::instrument::{CoverageCompiler, Metrics};
 use rtlcov_core::passes::remove::remove_covered;
 use rtlcov_core::CoverageMap;
 use rtlcov_designs::workloads::riscv_isa_workloads;
-use rtlcov_fpga::{estimate, insert_scan_chain, Device};
+use rtlcov_fpga::{estimate, insert_scan_chain};
 use rtlcov_sim::compiled::CompiledSim;
 
 fn main() {
@@ -52,7 +52,6 @@ fn main() {
     println!("removed: {:.0}%\n", stats.removed_fraction() * 100.0);
 
     // LUT impact at 32-bit counters
-    let device = Device::default();
     let mut base = inst.circuit.clone();
     remove_covered(&mut base, &CoverageMap::new(), 0); // strip all covers
     let base_luts = estimate(&base).luts;
@@ -63,5 +62,4 @@ fn main() {
     let removed_luts = estimate(&removed_circuit).luts;
     println!("32-bit counters, LUTs: baseline {base_luts}, full {full_luts} ({:.2}x), after removal {removed_luts} ({:.2}x)",
         full_luts as f64 / base_luts as f64, removed_luts as f64 / base_luts as f64);
-    let _ = device;
 }

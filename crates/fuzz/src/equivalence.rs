@@ -1,20 +1,178 @@
-//! Differential equivalence fuzzing for the simulator pipeline.
-//!
-//! A byte script deterministically generates a random FIRRTL circuit and
-//! an input stimulus; the circuit then runs on every software backend
-//! configuration: the interpreter (the reference oracle), compiled with
-//! and without the micro-op optimizer, and the activity-driven engine with
-//! default partitions and with one-instruction partitions on the
-//! unoptimized program. All five must agree bit-for-bit on every named
-//! signal at every cycle and on the final coverage maps. This is the
-//! executable statement of the optimizer/partitioner contract: pure
-//! performance, zero observable difference.
+//! The one list of simulator configurations that must agree, [`CONFIGS`],
+//! and the differential that compares them: [`agree`] (every signal) and
+//! [`same_coverage`] (the cover maps). The fuzzer, [`check_equivalence`],
+//! drives the list with circuits and stimulus generated from a byte
+//! script: the optimizer/partitioner contract of pure performance, zero
+//! observable difference, as an executable check.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rtlcov_core::CoverageMap;
+use rtlcov_firrtl::ir::Circuit;
 use rtlcov_sim::compiled::CompiledSim;
-use rtlcov_sim::essent::{EssentOptions, EssentSim};
-use rtlcov_sim::interp::InterpSim;
-use rtlcov_sim::opt::OptOptions;
-use rtlcov_sim::{SimError, Simulator};
+use rtlcov_sim::essent::EssentSim;
+use rtlcov_sim::testbench::InputTrace;
+use rtlcov_sim::{SimBuildOptions, SimError, SimKind, Simulator};
+
+/// One simulator configuration: a backend and its build options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimConfig {
+    /// Stable name, also `bench_sim`'s row name.
+    pub name: &'static str,
+    /// The backend.
+    pub kind: SimKind,
+    /// Optimizer and partition knobs; the interpreter ignores both.
+    pub options: SimBuildOptions,
+}
+
+const fn entry(name: &'static str, kind: SimKind, optimize: bool, partition: bool) -> SimConfig {
+    let options = SimBuildOptions {
+        optimize,
+        partition,
+    };
+    SimConfig {
+        name,
+        kind,
+        options,
+    }
+}
+
+/// Every configuration that must agree, the reference first. After the
+/// backend: optimize, then partition (`false`: one-instruction partitions).
+pub const CONFIGS: [SimConfig; 6] = [
+    entry("interp", SimKind::Interp, true, true),
+    entry("compiled_raw", SimKind::Compiled, false, true),
+    entry("compiled_opt", SimKind::Compiled, true, true),
+    entry("essent_part", SimKind::Essent, true, true),
+    entry("essent_1", SimKind::Essent, true, false),
+    // the only configuration that runs constant-only instructions on the
+    // activity engine: the optimizer folds them away everywhere else
+    entry("essent_raw_1", SimKind::Essent, false, false),
+];
+
+/// The configuration called `name`; panics if [`CONFIGS`] has none.
+pub fn config(name: &str) -> SimConfig {
+    let found = CONFIGS.into_iter().find(|c| c.name == name);
+    found.unwrap_or_else(|| panic!("no simulator configuration `{name}`"))
+}
+
+impl SimConfig {
+    /// Build this configuration for a lowered circuit; an error names it.
+    pub fn build(&self, low: &Circuit) -> Result<Box<dyn Simulator>, String> {
+        let sim = self.kind.build_with(low, &self.options);
+        sim.map_err(|e| format!("{}: {e}", self.name))
+    }
+
+    /// A compiled configuration as its concrete type, for its statistics.
+    pub fn compiled(&self, low: &Circuit) -> Result<CompiledSim, SimError> {
+        CompiledSim::new_with(low, &self.options.opt_options())
+    }
+
+    /// An essent configuration as its concrete type, for its statistics.
+    pub fn essent(&self, low: &Circuit) -> Result<EssentSim, SimError> {
+        EssentSim::new_with(low, &self.options)
+    }
+}
+
+/// A simulator under its configuration's name.
+pub type Named = (&'static str, Box<dyn Simulator>);
+
+/// Every configuration in [`CONFIGS`], built for `low`.
+fn build_all(low: &Circuit) -> Result<Vec<Named>, String> {
+    let named = |c: &SimConfig| Ok((c.name, c.build(low)?));
+    CONFIGS.iter().map(named).collect()
+}
+
+/// Build every configuration, run `drive` on each (its result is
+/// dropped), then require [`agree`] and [`same_coverage`]. Returns the
+/// reference's cover map and the simulators, for further comparisons.
+pub fn differential<R>(
+    low: &Circuit,
+    mut drive: impl FnMut(&mut dyn Simulator) -> R,
+) -> Result<(CoverageMap, Vec<Named>), String> {
+    let mut sims = build_all(low)?;
+    for (_, sim) in &mut sims {
+        drive(sim.as_mut());
+    }
+    agree(&sims, "end")?;
+    Ok((same_coverage(&sims)?, sims))
+}
+
+/// The reference (the first simulator) and the rest; a comparison needs
+/// both.
+fn split(sims: &[Named]) -> Result<(&Named, &[Named]), String> {
+    let pair = sims.split_first().filter(|(_, rest)| !rest.is_empty());
+    pair.ok_or_else(|| format!("{} simulator(s): nothing to compare", sims.len()))
+}
+
+/// Require every simulator to read the reference's value on each of
+/// `signals`. An error names the first disagreement and `when`. Fewer than
+/// two simulators or no signals is an error too: it would compare nothing.
+pub fn agree_on(sims: &[Named], signals: &[String], when: &str) -> Result<(), String> {
+    let ((reference, want_sim), others) = split(sims)?;
+    if signals.is_empty() {
+        return Err(format!("{when}: no signals to compare"));
+    }
+    for sig in signals {
+        let want = want_sim.peek(sig);
+        for (name, sim) in others {
+            let got = sim.peek(sig);
+            if got != want {
+                return Err(format!("{when} `{sig}`: {reference}={want} {name}={got}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`agree_on`] every signal, after requiring every simulator to expose
+/// the reference's signal set. Returns the number of signals compared.
+pub fn agree(sims: &[Named], when: &str) -> Result<usize, String> {
+    let ((reference, want_sim), others) = split(sims)?;
+    let signals = want_sim.signals();
+    if let Some((name, _)) = others.iter().find(|(_, sim)| sim.signals() != signals) {
+        return Err(format!("{name}: signal set differs from {reference}"));
+    }
+    agree_on(sims, &signals, when)?;
+    Ok(signals.len())
+}
+
+/// Require every simulator's cover map to equal the reference's, and
+/// return it. An error names the first differing cover point.
+pub fn same_coverage(sims: &[Named]) -> Result<CoverageMap, String> {
+    let ((reference, want_sim), others) = split(sims)?;
+    let want = want_sim.cover_counts();
+    for (name, sim) in others {
+        let got = sim.cover_counts();
+        let differs = |point: &&str| want.count(point) != got.count(point);
+        let point = want.iter().chain(got.iter()).map(|(p, _)| p).find(differs);
+        if let Some(point) = point {
+            let (w, g) = (want.count(point), got.count(point));
+            return Err(format!("cover `{point}`: {reference}={w:?} {name}={g:?}"));
+        }
+    }
+    Ok(want)
+}
+
+/// Seeded random stimulus for a lowered circuit: one reset cycle, then
+/// `cycles` cycles of random values on every other input (`poke` masks
+/// each to its width).
+pub fn random_trace(low: &Circuit, seed: u64, cycles: usize) -> Result<InputTrace, String> {
+    let flat = rtlcov_sim::elaborate::elaborate(low).map_err(|e| format!("elaborate: {}", e.0))?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    Ok(InputTrace::record(
+        flat.inputs.clone(),
+        cycles + 1,
+        |cycle| {
+            let value = |name: &String| match (cycle, name == "reset") {
+                (0, reset) => u64::from(reset),
+                (_, true) => 0,
+                (_, false) => rng.gen(),
+            };
+            flat.inputs.iter().map(value).collect()
+        },
+    ))
+}
 
 /// Cycling byte reader: any byte slice is a valid script.
 struct Script<'a> {
@@ -177,72 +335,20 @@ pub struct EquivReport {
     pub signals: usize,
 }
 
-/// Generate a circuit and stimulus from `script` and require the four
-/// compiled and essent configurations to agree with the interpreter on
-/// every peek each cycle and on the final cover maps. Every cycle also issues
-/// one script-derived backdoor `write_mem` on every simulator.
-///
-/// # Errors
-///
-/// A message naming the first divergence (or a build failure).
+/// Generate a circuit and stimulus from `script` and require every
+/// configuration in [`CONFIGS`] to [`agree`] with the interpreter before
+/// each step and at the end, and to have the [`same_coverage`]. Every
+/// cycle also issues one script-derived backdoor `write_mem` on every
+/// simulator. An error names the first divergence or build failure.
 pub fn check_equivalence(script: &[u8]) -> Result<EquivReport, String> {
     let src = generate_circuit(script);
     let circuit = rtlcov_firrtl::parser::parse(&src).map_err(|e| format!("parse: {e:?}"))?;
     let low = rtlcov_firrtl::passes::lower(circuit).map_err(|e| format!("lower: {e:?}"))?;
-
-    let one_instr = EssentOptions {
-        optimize: false,
-        partition: false,
-    };
-    fn boxed(s: impl Simulator + 'static) -> Box<dyn Simulator> {
-        Box::new(s)
-    }
-    type Build = Result<Box<dyn Simulator>, SimError>;
-    let build: Vec<(&str, Build)> = vec![
-        ("interp", InterpSim::new(&low).map(boxed)),
-        (
-            "compiled-raw",
-            CompiledSim::new_with(&low, &OptOptions::none()).map(boxed),
-        ),
-        (
-            "compiled-opt",
-            CompiledSim::new_with(&low, &OptOptions::default()).map(boxed),
-        ),
-        ("essent", EssentSim::new_with(&low, &one_instr).map(boxed)),
-        (
-            "essent-part",
-            EssentSim::new_with(&low, &EssentOptions::default()).map(boxed),
-        ),
-    ];
-    let mut sims: Vec<(&str, Box<dyn Simulator>)> = Vec::new();
-    for (name, r) in build {
-        sims.push((name, r.map_err(|e| format!("{name}: {e}"))?));
-    }
-
-    let signals = sims[0].1.signals();
-    for (name, sim) in &sims[1..] {
-        if sim.signals() != signals {
-            return Err(format!("{name}: signal set differs from interp"));
-        }
-    }
-    let agree = |sims: &[(&str, Box<dyn Simulator>)], when: &str| -> Result<(), String> {
-        for sig in &signals {
-            let want = sims[0].1.peek(sig);
-            for (name, sim) in &sims[1..] {
-                let got = sim.peek(sig);
-                if got != want {
-                    return Err(format!("{when} `{sig}`: interp={want} {name}={got}"));
-                }
-            }
-        }
-        Ok(())
-    };
+    let mut sims = build_all(&low)?;
 
     let mut s = Script::new(script);
     // skip the generator prefix so stimulus differs from structure
-    for _ in 0..32 {
-        s.next();
-    }
+    s.pos = 32;
     let cycles = 8 + (s.next() % 25) as usize;
     let n_inputs = 1 + (script.first().copied().unwrap_or(0) % 3) as usize;
 
@@ -251,14 +357,12 @@ pub fn check_equivalence(script: &[u8]) -> Result<EquivReport, String> {
     }
     for cycle in 0..cycles {
         let (addr, word) = (u64::from(s.next() % 8), u64::from(s.next_u16()));
+        let inputs: Vec<u64> = (0..n_inputs).map(|_| u64::from(s.next_u16())).collect();
         for (name, sim) in sims.iter_mut() {
             sim.write_mem("m", addr, word)
                 .map_err(|e| format!("cycle {cycle} {name}: {e}"))?;
-        }
-        for i in 0..n_inputs {
-            let v = u64::from(s.next_u16());
-            for (_, sim) in sims.iter_mut() {
-                sim.poke(&format!("in{i}"), v);
+            for (i, v) in inputs.iter().enumerate() {
+                sim.poke(&format!("in{i}"), *v);
             }
         }
         // pre-step peeks exercise settle-under-poke on every backend
@@ -267,19 +371,9 @@ pub fn check_equivalence(script: &[u8]) -> Result<EquivReport, String> {
             sim.step();
         }
     }
-    agree(&sims, "final")?;
-
-    let want = sims[0].1.cover_counts();
-    for (name, sim) in &sims[1..] {
-        let got = sim.cover_counts();
-        if got != want {
-            return Err(format!("cover maps differ: interp={want:?} {name}={got:?}"));
-        }
-    }
-    Ok(EquivReport {
-        cycles,
-        signals: signals.len(),
-    })
+    let signals = agree(&sims, "final")?;
+    same_coverage(&sims)?;
+    Ok(EquivReport { cycles, signals })
 }
 
 #[cfg(test)]
@@ -315,5 +409,89 @@ mod tests {
     #[test]
     fn empty_script_is_a_valid_circuit() {
         check_equivalence(&[]).unwrap();
+    }
+
+    /// A simulator that misreads one signal or one cover count.
+    struct Perturbed {
+        inner: Box<dyn Simulator>,
+        signal: Option<String>,
+        cover: Option<String>,
+    }
+
+    impl Simulator for Perturbed {
+        fn poke(&mut self, signal: &str, value: u64) {
+            self.inner.poke(signal, value);
+        }
+        fn peek(&self, signal: &str) -> u64 {
+            let flip = u64::from(self.signal.as_deref() == Some(signal));
+            self.inner.peek(signal) ^ flip
+        }
+        fn step(&mut self) {
+            self.inner.step();
+        }
+        fn cover_counts(&self) -> CoverageMap {
+            let mut map = self.inner.cover_counts();
+            if let Some(point) = &self.cover {
+                map.record_ref(point, 1);
+            }
+            map
+        }
+        fn write_mem(&mut self, mem: &str, addr: u64, value: u64) -> Result<(), SimError> {
+            self.inner.write_mem(mem, addr, value)
+        }
+        fn read_mem(&self, mem: &str, addr: u64) -> Result<u64, SimError> {
+            self.inner.read_mem(mem, addr)
+        }
+        fn signals(&self) -> Vec<String> {
+            self.inner.signals()
+        }
+    }
+
+    /// The reference and a perturbed compiled build of one generated
+    /// circuit, after a few cycles.
+    fn pair(signal: Option<&str>, cover: Option<&str>) -> Vec<Named> {
+        let src = generate_circuit(&[7, 3, 11, 200, 5]);
+        let low =
+            rtlcov_firrtl::passes::lower(rtlcov_firrtl::parser::parse(&src).unwrap()).unwrap();
+        let perturbed = Perturbed {
+            inner: config("compiled_opt").build(&low).unwrap(),
+            signal: signal.map(str::to_string),
+            cover: cover.map(str::to_string),
+        };
+        let mut sims: Vec<Named> = vec![
+            ("interp", config("interp").build(&low).unwrap()),
+            ("perturbed", Box::new(perturbed)),
+        ];
+        for (_, sim) in &mut sims {
+            sim.reset(1);
+            sim.step_n(4);
+        }
+        sims
+    }
+
+    #[test]
+    fn the_comparisons_report_a_perturbed_simulator() {
+        let honest = pair(None, None);
+        assert!(agree(&honest, "t").unwrap() > 0);
+        let map = same_coverage(&honest).unwrap();
+
+        let err = agree(&pair(Some("out"), None), "t").unwrap_err();
+        assert!(err.contains("`out`: interp="), "{err}");
+        same_coverage(&pair(Some("out"), None)).unwrap();
+
+        let (point, _) = map.iter().next().expect("the circuit has covers");
+        let err = same_coverage(&pair(None, Some(point))).unwrap_err();
+        assert!(err.contains(&format!("`{point}`")), "{err}");
+        agree(&pair(None, Some(point)), "t").unwrap();
+    }
+
+    #[test]
+    fn comparing_nothing_is_an_error() {
+        let mut sims = pair(None, None);
+        assert!(agree_on(&sims, &[], "t").is_err());
+        sims.truncate(1);
+        assert!(agree(&sims, "t").is_err());
+        assert!(same_coverage(&sims).is_err());
+        assert!(agree_on(&[], &["out".to_string()], "t").is_err());
     }
 }

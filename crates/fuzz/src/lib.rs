@@ -5,6 +5,12 @@
 //! raw bytes onto DUT pins ([`harness`]), and a fuzzing loop that accepts
 //! **any** instrumented coverage metric as feedback ([`fuzzer`]) — the
 //! mix-and-match capability the cover-primitive design enables.
+//!
+//! [`equivalence`] holds the one list of simulator configurations that
+//! must agree ([`equivalence::CONFIGS`]) and the comparisons every
+//! cross-backend check uses ([`equivalence::agree`],
+//! [`equivalence::same_coverage`]); its differential fuzzer drives that
+//! list with random circuits.
 
 #![warn(missing_docs)]
 

@@ -1,15 +1,17 @@
 //! Cross-backend equivalence: the paper's §3 claim that every backend
-//! reports the *same* coverage interface. We run identical stimulus on the
-//! interpreter (Treadle analog), the compiled simulator (Verilator
-//! analog), the activity-driven simulator (ESSENT analog) and the emulated
-//! FPGA host (FireSim analog) and require bit-identical `CoverageMap`s.
+//! reports the *same* coverage interface. We run identical stimulus on
+//! every simulator configuration of `rtlcov::fuzz::equivalence` (Treadle,
+//! Verilator and ESSENT analogs) and on the emulated FPGA host (FireSim
+//! analog), and require bit-identical `CoverageMap`s.
 
 use rtlcov::core::instrument::{CoverageCompiler, Metrics};
 use rtlcov::core::CoverageMap;
 use rtlcov::designs::programs::{isa_suite, Program};
 use rtlcov::designs::riscv_mini::riscv_mini_with;
+use rtlcov::firrtl::Circuit;
 use rtlcov::fpga::{insert_scan_chain, FpgaHost};
-use rtlcov::sim::{compiled::CompiledSim, essent::EssentSim, interp::InterpSim, Simulator};
+use rtlcov::fuzz::equivalence::{config, differential, CONFIGS};
+use rtlcov::sim::{compiled::CompiledSim, Simulator};
 
 const CYCLES: usize = 1200;
 
@@ -20,22 +22,37 @@ fn run_program(sim: &mut dyn Simulator, p: &Program) -> CoverageMap {
     sim.cover_counts()
 }
 
+/// Run `p` on the FPGA host with `width`-bit cover counters.
+fn run_on_fpga(circuit: &Circuit, p: &Program, width: u32) -> CoverageMap {
+    let mut fpga_circuit = circuit.clone();
+    let info = insert_scan_chain(&mut fpga_circuit, width).unwrap();
+    let mut host = FpgaHost::new(&fpga_circuit, info).unwrap();
+    for (addr, word) in p.text.iter().enumerate() {
+        host.write_mem("icache.mem", addr as u64, *word as u64)
+            .unwrap();
+    }
+    host.reset(2);
+    host.run(CYCLES as u64);
+    host.scan_out_counts().0
+}
+
 #[test]
 fn software_backends_agree_on_riscv_mini() {
     let inst = CoverageCompiler::new(Metrics::all())
         .run(riscv_mini_with(256))
         .unwrap();
-    for (name, program) in isa_suite() {
-        let mut compiled = CompiledSim::new(&inst.circuit).unwrap();
-        let mut interp = InterpSim::new(&inst.circuit).unwrap();
-        let mut essent = EssentSim::new(&inst.circuit).unwrap();
-        let a = run_program(&mut compiled, &program);
-        let b = run_program(&mut interp, &program);
-        let c = run_program(&mut essent, &program);
-        assert_eq!(a, b, "compiled vs interp on {name}");
-        assert_eq!(a, c, "compiled vs essent on {name}");
-        assert!(a.covered() > 0, "{name} covers something");
-    }
+    // the programs are independent and the interpreter dominates: one
+    // thread each (a panicking thread fails the scope)
+    std::thread::scope(|scope| {
+        for (name, program) in isa_suite() {
+            let circuit = &inst.circuit;
+            scope.spawn(move || {
+                let run = |sim: &mut dyn Simulator| run_program(sim, &program);
+                let (map, _) = differential(circuit, run).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(map.covered() > 0, "{name} covers something");
+            });
+        }
+    });
 }
 
 #[test]
@@ -49,16 +66,7 @@ fn fpga_host_agrees_with_software() {
     let mut sw = CompiledSim::new(&inst.circuit).unwrap();
     let sw_counts = run_program(&mut sw, &program);
 
-    let mut fpga_circuit = inst.circuit.clone();
-    let info = insert_scan_chain(&mut fpga_circuit, 32).unwrap();
-    let mut host = FpgaHost::new(&fpga_circuit, info).unwrap();
-    for (addr, word) in program.text.iter().enumerate() {
-        host.write_mem("icache.mem", addr as u64, *word as u64)
-            .unwrap();
-    }
-    host.reset(2);
-    host.run(CYCLES as u64);
-    let (fpga_counts, _) = host.scan_out_counts();
+    let fpga_counts = run_on_fpga(&inst.circuit, &program, 32);
 
     assert_eq!(sw_counts, fpga_counts);
 }
@@ -72,16 +80,7 @@ fn narrow_fpga_counters_saturate_but_preserve_coverage_set() {
     let mut sw = CompiledSim::new(&inst.circuit).unwrap();
     let sw_counts = run_program(&mut sw, &program);
 
-    let mut fpga_circuit = inst.circuit.clone();
-    let info = insert_scan_chain(&mut fpga_circuit, 2).unwrap();
-    let mut host = FpgaHost::new(&fpga_circuit, info).unwrap();
-    for (addr, word) in program.text.iter().enumerate() {
-        host.write_mem("icache.mem", addr as u64, *word as u64)
-            .unwrap();
-    }
-    host.reset(2);
-    host.run(CYCLES as u64);
-    let (fpga_counts, _) = host.scan_out_counts();
+    let fpga_counts = run_on_fpga(&inst.circuit, &program, 2);
 
     // counts saturate at 3, but the covered/uncovered *set* is identical —
     // "as long as we are only interested in finding lines that have never
@@ -98,31 +97,17 @@ fn merging_across_backends_is_exact() {
     let inst = CoverageCompiler::new(Metrics::line_only())
         .run(riscv_mini_with(256))
         .unwrap();
-    let suite = isa_suite();
-    // union of per-backend runs equals a union of same-backend runs
+    // a union of per-configuration runs equals one of same-configuration runs
     let mut merged_mixed = CoverageMap::new();
     let mut merged_same = CoverageMap::new();
-    for (i, (_, program)) in suite.iter().enumerate().take(3) {
-        let counts_same = {
-            let mut sim = CompiledSim::new(&inst.circuit).unwrap();
-            run_program(&mut sim, program)
-        };
-        let counts_mixed = match i % 3 {
-            0 => {
-                let mut sim = CompiledSim::new(&inst.circuit).unwrap();
-                run_program(&mut sim, program)
-            }
-            1 => {
-                let mut sim = InterpSim::new(&inst.circuit).unwrap();
-                run_program(&mut sim, program)
-            }
-            _ => {
-                let mut sim = EssentSim::new(&inst.circuit).unwrap();
-                run_program(&mut sim, program)
-            }
-        };
-        merged_same.merge(&counts_same);
-        merged_mixed.merge(&counts_mixed);
+    for (mixed, (_, program)) in CONFIGS.iter().zip(&isa_suite()) {
+        for (cfg, merged) in [
+            (mixed, &mut merged_mixed),
+            (&config("compiled_opt"), &mut merged_same),
+        ] {
+            let mut sim = cfg.build(&inst.circuit).unwrap();
+            merged.merge(&run_program(sim.as_mut(), program));
+        }
     }
     assert_eq!(merged_same, merged_mixed);
 }

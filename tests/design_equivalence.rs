@@ -1,63 +1,18 @@
-//! Random-stimulus equivalence across the three software backends for
-//! every benchmark design (complementing the riscv-mini-focused
+//! Random-stimulus equivalence across every simulator configuration of
+//! `rtlcov::fuzz::equivalence` for every benchmark design: each signal,
+//! hierarchical ones included, and the cover map must equal the
+//! interpreter's at the end (complementing the riscv-mini-focused
 //! `backend_equivalence.rs`).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rtlcov::core::instrument::{CoverageCompiler, Metrics};
-use rtlcov::core::CoverageMap;
 use rtlcov::firrtl::Circuit;
-use rtlcov::sim::{compiled::CompiledSim, essent::EssentSim, interp::InterpSim, Simulator};
-
-fn random_run(
-    sim: &mut dyn Simulator,
-    inputs: &[(String, u32)],
-    seed: u64,
-    cycles: usize,
-) -> (CoverageMap, Vec<u64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    sim.reset(1);
-    for _ in 0..cycles {
-        for (name, width) in inputs {
-            let mask = if *width >= 64 {
-                u64::MAX
-            } else {
-                (1 << width) - 1
-            };
-            sim.poke(name, rng.gen::<u64>() & mask);
-        }
-        sim.step();
-    }
-    let outputs: Vec<u64> = sim
-        .signals()
-        .iter()
-        .filter(|s| !s.contains('.'))
-        .map(|s| sim.peek(s))
-        .collect();
-    (sim.cover_counts(), outputs)
-}
+use rtlcov::fuzz::equivalence::{differential, random_trace};
 
 fn check_design(circuit: Circuit, cycles: usize) {
     let inst = CoverageCompiler::new(Metrics::all()).run(circuit).unwrap();
-    let flat = rtlcov::sim::elaborate::elaborate(&inst.circuit).unwrap();
-    let inputs: Vec<(String, u32)> = flat
-        .inputs
-        .iter()
-        .filter(|n| n.as_str() != "reset")
-        .map(|n| (n.clone(), flat.signals[n].width))
-        .collect();
-
-    let mut compiled = CompiledSim::new(&inst.circuit).unwrap();
-    let mut interp = InterpSim::new(&inst.circuit).unwrap();
-    let mut essent = EssentSim::new(&inst.circuit).unwrap();
-    let a = random_run(&mut compiled, &inputs, 42, cycles);
-    let b = random_run(&mut interp, &inputs, 42, cycles);
-    let c = random_run(&mut essent, &inputs, 42, cycles);
-    assert_eq!(a.0, b.0, "coverage: compiled vs interp");
-    assert_eq!(a.0, c.0, "coverage: compiled vs essent");
-    assert_eq!(a.1, b.1, "signals: compiled vs interp");
-    assert_eq!(a.1, c.1, "signals: compiled vs essent");
-    assert!(a.0.covered() > 0, "random stimulus covers something");
+    let trace = random_trace(&inst.circuit, 42, cycles).unwrap();
+    let (map, _) = differential(&inst.circuit, |sim| trace.replay(sim)).unwrap();
+    assert!(map.covered() > 0, "random stimulus covers something");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use rtlcov::designs::workloads::campaign_workload;
 use rtlcov::firrtl::ir::{Circuit, Stmt};
 use rtlcov::firrtl::parser::parse;
 use rtlcov::firrtl::passes;
-use rtlcov::sim::essent::{EssentOptions, EssentSim};
+use rtlcov::fuzz::equivalence::config;
 use rtlcov::sim::Simulator;
 
 fn count_stmts(circuit: &Circuit, pred: impl Fn(&Stmt) -> bool) -> usize {
@@ -91,10 +91,7 @@ circuit T :
 /// share of instructions whose inputs changed.
 #[test]
 fn idle_design_executes_a_smaller_share_of_its_program() {
-    let one_instr_partitions = EssentOptions {
-        partition: false,
-        ..EssentOptions::default()
-    };
+    let essent_1 = config("essent_1");
     let instrumented = |circuit| {
         CoverageCompiler::new(Metrics::all())
             .run(circuit)
@@ -103,16 +100,14 @@ fn idle_design_executes_a_smaller_share_of_its_program() {
     };
 
     // no program: riscv-mini spins in its fetch state
-    let mut idle = EssentSim::new_with(&instrumented(riscv_mini()), &one_instr_partitions).unwrap();
+    let mut idle = essent_1.essent(&instrumented(riscv_mini())).unwrap();
     idle.reset(1);
     idle.step_n(2000);
 
     let neuroproc = campaign_workload("neuroproc", 0, 10).expect("campaign design");
-    let mut busy = EssentSim::new_with(
-        &instrumented(neuroproc.circuit.clone()),
-        &one_instr_partitions,
-    )
-    .unwrap();
+    let mut busy = essent_1
+        .essent(&instrumented(neuroproc.circuit.clone()))
+        .unwrap();
     neuroproc.run(&mut busy);
 
     let (idle, busy) = (idle.activity_factor(), busy.activity_factor());

@@ -1,6 +1,8 @@
 //! Differential testing: random RV32I programs run on the golden-model
 //! ISS and on the RTL core (compiled backend), and the architectural
-//! state — register file, data memory, retired count — must agree.
+//! state — register file, data memory, retired count — must agree. One
+//! random program also runs on every simulator configuration of
+//! `rtlcov::fuzz::equivalence`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -8,8 +10,10 @@ use rtlcov::designs::iss::Iss;
 use rtlcov::designs::programs::{asm, Program};
 use rtlcov::designs::riscv_mini::riscv_mini_with;
 use rtlcov::firrtl::passes;
+use rtlcov::fuzz::equivalence::differential;
 use rtlcov::sim::compiled::CompiledSim;
 use rtlcov::sim::Simulator;
+use std::ops::Range;
 
 const DMEM_WORDS: usize = 256;
 
@@ -62,6 +66,27 @@ fn random_program(rng: &mut StdRng, len: usize) -> Vec<u32> {
     text
 }
 
+/// Load `text` and run until the core halts, for at most 4000 cycles.
+fn run_to_halt(sim: &mut dyn Simulator, text: &[u32]) {
+    Program::new(text.to_vec())
+        .load(sim, "icache.mem", "dcache.mem")
+        .unwrap();
+    sim.reset(2);
+    for _ in 0..4000 {
+        if sim.peek("halted") == 1 {
+            break;
+        }
+        sim.step();
+    }
+}
+
+/// Words `words` of memory `mem`, as 32-bit values.
+fn read(sim: &dyn Simulator, mem: &str, words: Range<u64>) -> Vec<u32> {
+    words
+        .map(|w| sim.read_mem(mem, w).unwrap() as u32)
+        .collect()
+}
+
 #[test]
 fn random_programs_match_the_golden_model() {
     let low = passes::lower(riscv_mini_with(256)).unwrap();
@@ -74,32 +99,13 @@ fn random_programs_match_the_golden_model() {
         assert!(iss.halted, "round {round}: ISS did not halt");
         // RTL core
         let mut sim = CompiledSim::new(&low).unwrap();
-        Program::new(text.clone())
-            .load(&mut sim, "icache.mem", "dcache.mem")
-            .unwrap();
-        sim.reset(2);
-        for _ in 0..4000 {
-            if sim.peek("halted") == 1 {
-                break;
-            }
-            sim.step();
-        }
+        run_to_halt(&mut sim, &text);
         assert_eq!(sim.peek("halted"), 1, "round {round}: RTL did not halt");
         // architectural state comparison
-        for r in 1..8u64 {
-            assert_eq!(
-                sim.read_mem("core.rf", r).unwrap() as u32,
-                iss.regs[r as usize],
-                "round {round}: x{r} mismatch"
-            );
-        }
-        for w in 0..DMEM_WORDS as u64 / 2 {
-            assert_eq!(
-                sim.read_mem("dcache.mem", w).unwrap() as u32,
-                iss.dmem[w as usize],
-                "round {round}: dmem[{w}] mismatch"
-            );
-        }
+        let regs = read(&sim, "core.rf", 1..8);
+        assert_eq!(regs, iss.regs[1..8], "round {round}: x1..x7 mismatch");
+        let dmem = read(&sim, "dcache.mem", 0..DMEM_WORDS as u64 / 2);
+        assert_eq!(dmem, iss.dmem[..dmem.len()], "round {round}: dmem mismatch");
         assert_eq!(
             sim.peek("retired"),
             iss.retired,
@@ -110,28 +116,18 @@ fn random_programs_match_the_golden_model() {
 
 #[test]
 fn differential_across_backends() {
-    // the interpreter must agree with the compiled backend on the same
-    // random program (transitively validating against the ISS)
-    use rtlcov::sim::interp::InterpSim;
+    // every configuration agrees with the interpreter (and so with the ISS)
     let low = passes::lower(riscv_mini_with(256)).unwrap();
     let mut rng = StdRng::seed_from_u64(0xbeef);
     let text = random_program(&mut rng, 25);
-    let run = |sim: &mut dyn Simulator| -> Vec<u64> {
-        Program::new(text.clone())
-            .load(sim, "icache.mem", "dcache.mem")
-            .unwrap();
-        sim.reset(2);
-        for _ in 0..4000 {
-            if sim.peek("halted") == 1 {
-                break;
-            }
-            sim.step();
-        }
-        (0..8)
-            .map(|r| sim.read_mem("core.rf", r).unwrap())
-            .collect()
-    };
-    let mut compiled = CompiledSim::new(&low).unwrap();
-    let mut interp = InterpSim::new(&low).unwrap();
-    assert_eq!(run(&mut compiled), run(&mut interp));
+    let (_, sims) = differential(&low, |sim| run_to_halt(sim, &text)).unwrap();
+    let want = read(sims[0].1.as_ref(), "core.rf", 0..32);
+    assert_eq!(sims[0].1.peek("halted"), 1, "the program halts");
+    for (name, sim) in &sims[1..] {
+        assert_eq!(
+            read(sim.as_ref(), "core.rf", 0..32),
+            want,
+            "{name}: core.rf"
+        );
+    }
 }
